@@ -14,7 +14,7 @@
 //! with **no recorder** and with a **disabled recorder** attached, in
 //! interleaved rounds (so thermal/scheduler drift hits both variants
 //! equally), takes the best round per variant, and reports the throughput
-//! ratio `disabled / bare`. `--check` (the CI `obs-smoke` job) fails the
+//! ratio `disabled / bare`. `--check` (the CI `harness-smoke` job) fails the
 //! process when the ratio drops below 0.98 — i.e. when merely *carrying*
 //! the disabled recorder costs 2% or more.
 

@@ -1,573 +1,143 @@
-//! Loopback load harness for `mpds-cli serve` — emits `BENCH_pr3.json`
-//! (read workload) or, with `--churn`, `BENCH_pr5.json` (update/read mix).
+//! `mpds-load`: runs the seven loopback load scenarios of
+//! [`mpds_service::harness`] against servers it starts itself, writes one
+//! report, and exits non-zero on any violation.
 //!
 //! ```text
-//! mpds-load [--addr HOST:PORT] [--clients N] [--requests N]
-//!           [--server-threads N] [--dataset D] [--theta N] [--k N]
-//!           [--out PATH] [--wait-secs S] [--check]
-//!           [--churn] [--updates N] [--batch-edges N] [--reads-per-round N]
-//!           [--batch] [--members N] [--rounds N]
-//!           [--anytime] [--window N] [--budget-ms N]
-//!           [--obs] [--flight]
-//!           [--kill-recover --server-bin PATH --data-dir PATH]
-//!           [--rounds-before N] [--rounds-after N]
+//! mpds-load [--out PATH]        (default target/mpds-load.json)
 //! ```
 //!
-//! Default mode drives `--clients` concurrent clients, each issuing
-//! `--requests` requests split into a cold phase (distinct seeds; every
-//! request is a real estimator run) and a repeat phase (one identical
-//! query; the cache and in-flight coalescing must absorb it). Writes the
-//! JSON report to `--out` (default `target/BENCH_pr3.json`).
-//!
-//! `--churn` instead interleaves `--updates` mutation batches (POSTed to
-//! `/update`, so the server must run `serve --mutable`) with concurrent
-//! read bursts, measuring read p50/p99, update latency, and post-update
-//! cache-hit recovery; default `--out` becomes `target/BENCH_pr5.json`.
-//!
-//! `--batch` instead measures `POST /batch` amortization against sequential
-//! `/query` calls (emits `BENCH_pr6.json`): per round it issues `--members`
-//! member queries standalone under one seed, then the same member set as a
-//! single batch under another, comparing worlds-materialized-per-member off
-//! `/metrics`, and re-issues every member as a point query that must HIT the
-//! batch-filled cache with bytes embedded verbatim in the batch envelope.
-//!
-//! `--anytime` instead exercises the anytime stop-policy API (emits
-//! `BENCH_pr7.json`): a cold fixed-θ phase, a cold `stop=stable` phase that
-//! must beat it at the median, a tight-`--budget-ms` phase where every
-//! response must be a 200 best-so-far body (zero 504s), and a follow-up
-//! phase polling each budget query until the server's background refinement
-//! tier republishes a converged body under the same cache key.
-//!
-//! `--obs` instead drives the observability harness (emits
-//! `BENCH_pr8.json`): the cold/repeat read shape with server-side p50/p99
-//! reconstructed from Prometheus `/metrics` histogram scrapes bracketing
-//! each phase, cross-checked against the client-side timings, plus a
-//! `?profile=1` probe asserting stage timings appear without perturbing the
-//! cached body.
-//!
-//! `--flight` instead drives the flight-recorder harness (emits
-//! `BENCH_pr10.json`). It needs no running server: it binds two in-process
-//! servers — flight recorder enabled vs disabled — drives the identical
-//! cold/repeat workload against both, and probes the enabled one's
-//! `/debug/requests`, `/debug/slow`, and `/debug/trace/<id>` endpoints,
-//! resolving a Prometheus histogram exemplar to a per-stage breakdown.
-//!
-//! `--kill-recover` instead drives the durability harness (emits
-//! `BENCH_pr9.json`). Unlike the other modes it spawns the server itself
-//! (`--server-bin` must point at an `mpds-cli` binary, `--data-dir` at the
-//! durability directory): it churns `--rounds-before` update batches,
-//! SIGKILLs the server mid-stream, restarts it from the same `--data-dir`,
-//! and then churns `--rounds-after` more.
-//!
-//! `--check` turns the report's invariants into an exit code (the CI
-//! `service-smoke` / `churn-smoke` / `batch-smoke` / `anytime-smoke` /
-//! `obs-smoke` / `durability-smoke` gates): zero non-2xx responses plus, in
-//! flight mode, an enabled/disabled throughput ratio of at least 0.95 with
-//! every debug probe and the exemplar resolution holding — and, in
-//! read mode, bytewise-identical repeat bodies and a repeat-phase cache hit
-//! rate above 0.9 — in churn mode, strictly monotone generations — in batch
-//! mode, an amortization ratio of at least 2 and all follow-up point
-//! queries served from cache — in anytime mode, zero 504s, a stable-phase
-//! median speedup, real budget truncation, and every budget query
-//! eventually refined — in obs mode, server-side windows counting exactly
-//! the requests sent and percentiles agreeing with client-side timings
-//! within the log2 tolerance band — in kill-recover mode, the restarted
-//! server recovering the exact pre-SIGKILL generation with a byte-identical
-//! canonical read and gap-free post-restart generations.
+//! Each scenario gets a fresh in-process server (4 workers, queue 256,
+//! cache 512; `mutable` for churn) on an ephemeral loopback port, except
+//! `flight`, which binds its own recorder-enabled and recorder-disabled
+//! pair, and `kill_recover`, which needs a real SIGKILL and so spawns the
+//! `mpds-cli` binary built beside this one (`cargo build --release -p
+//! mpds-service` builds both).
 
-use mpds_service::harness::{
-    self, AnytimeConfig, BatchConfig, ChurnConfig, FlightConfig, HarnessConfig, KillRecoverConfig,
-    ObsConfig,
-};
-use std::net::ToSocketAddrs;
+use mpds_service::harness::{self, Load, Report};
+use mpds_service::{EngineConfig, GraphRegistry, QueryEngine, Server, ServerConfig};
+use std::net::{SocketAddr, TcpListener};
 use std::process::ExitCode;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Where a scenario's server comes from.
+#[derive(Clone, Copy)]
+enum Serve {
+    /// A fresh in-process server (`true`: mutable).
+    InProcess(bool),
+    /// The scenario binds its own servers.
+    Own,
+    /// The scenario spawns a server on a free loopback port.
+    FreePort,
+}
+
+type Scenario = fn(&Load, &mut Report);
+
+/// Every scenario with its server and sizes: `(name, run, serve, clients,
+/// per_client, theta)`, all on karate with k = 3.
+#[rustfmt::skip]
+const SCENARIOS: [(&str, Scenario, Serve, usize, usize, usize); 7] = [
+    ("read",         harness::read,         Serve::InProcess(false), 32, 25,   64),
+    ("churn",        harness::churn,        Serve::InProcess(true),   8,  4,   64),
+    ("batch",        harness::batch,        Serve::InProcess(false),  1,  4,  256),
+    ("anytime",      harness::anytime,      Serve::InProcess(false),  8,  2, 1024),
+    ("obs",          harness::obs,          Serve::InProcess(false),  8,  4,   64),
+    ("flight",       harness::flight,       Serve::Own,               8,  8,   64),
+    ("kill_recover", harness::kill_recover, Serve::FreePort,          1,  1,   64),
+];
+
+fn bind(mutable: bool) -> std::io::Result<Server> {
+    let engine = Arc::new(QueryEngine::new(
+        GraphRegistry::with_builtins(),
+        &EngineConfig {
+            cache_capacity: 512,
+            cache_shards: 8,
+        },
+    ));
+    let cfg = ServerConfig {
+        threads: 4,
+        queue_capacity: 256,
+        mutable,
+        ..ServerConfig::default()
+    };
+    Server::bind("127.0.0.1:0", engine, &cfg)
+}
+
+/// The scenario's server (if this binary owns it) and the address to load.
+fn target(serve: Serve) -> std::io::Result<(Option<Server>, SocketAddr)> {
+    match serve {
+        Serve::InProcess(mutable) => {
+            let server = bind(mutable)?;
+            let addr = server.local_addr();
+            Ok((Some(server), addr))
+        }
+        Serve::Own => Ok((None, SocketAddr::from(([127, 0, 0, 1], 0)))),
+        Serve::FreePort => Ok((None, TcpListener::bind("127.0.0.1:0")?.local_addr()?)),
+    }
+}
 
 fn main() -> ExitCode {
-    let mut cfg = HarnessConfig::default();
-    let mut addr_spec = "127.0.0.1:7878".to_string();
-    let mut out_path: Option<String> = None;
-    let mut wait_secs = 30u64;
-    let mut check = false;
-    let mut churn = false;
-    let mut updates = 8usize;
-    let mut batch_edges = 16usize;
-    let mut reads_per_round = 4usize;
-    let mut batch = false;
-    let mut members = 8usize;
-    let mut rounds = 4usize;
-    let mut anytime = false;
-    let mut window = AnytimeConfig::default().window;
-    let mut budget_ms = AnytimeConfig::default().budget_ms;
-    let mut obs = false;
-    let mut flight = false;
-    let mut kill_recover = false;
-    let mut server_bin: Option<String> = None;
-    let mut data_dir: Option<String> = None;
-    let kr_defaults = KillRecoverConfig::default();
-    let mut rounds_before = kr_defaults.rounds_before_kill;
-    let mut rounds_after = kr_defaults.rounds_after_restart;
-    let mut theta_set = false;
-    let mut rounds_set = false;
-
-    let mut args = std::env::args().skip(1);
-    let fail = |msg: String| -> ExitCode {
-        eprintln!("error: {msg}");
-        eprintln!(
-            "usage: mpds-load [--addr HOST:PORT] [--clients N] [--requests N] \
-             [--server-threads N] [--dataset D] [--theta N] [--k N] [--out PATH] \
-             [--wait-secs S] [--check] [--churn] [--updates N] [--batch-edges N] \
-             [--reads-per-round N] [--batch] [--members N] [--rounds N] \
-             [--anytime] [--window N] [--budget-ms N] [--obs] [--flight] \
-             [--kill-recover --server-bin PATH --data-dir PATH] \
-             [--rounds-before N] [--rounds-after N]"
-        );
-        ExitCode::FAILURE
-    };
-    while let Some(flag) = args.next() {
-        let mut val = |name: &str| {
-            args.next()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        let parsed = (|| -> Result<(), String> {
-            match flag.as_str() {
-                "--addr" => addr_spec = val("--addr")?,
-                "--clients" => {
-                    cfg.clients = val("--clients")?.parse().map_err(|e| format!("{e}"))?
-                }
-                "--requests" => {
-                    cfg.requests_per_client =
-                        val("--requests")?.parse().map_err(|e| format!("{e}"))?
-                }
-                "--server-threads" => {
-                    cfg.server_threads = val("--server-threads")?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?
-                }
-                "--dataset" => cfg.dataset = val("--dataset")?,
-                "--theta" => {
-                    cfg.theta = val("--theta")?.parse().map_err(|e| format!("{e}"))?;
-                    theta_set = true;
-                }
-                "--k" => cfg.k = val("--k")?.parse().map_err(|e| format!("{e}"))?,
-                "--out" => out_path = Some(val("--out")?),
-                "--wait-secs" => {
-                    wait_secs = val("--wait-secs")?.parse().map_err(|e| format!("{e}"))?
-                }
-                "--check" => check = true,
-                "--churn" => churn = true,
-                "--updates" => updates = val("--updates")?.parse().map_err(|e| format!("{e}"))?,
-                "--batch-edges" => {
-                    batch_edges = val("--batch-edges")?.parse().map_err(|e| format!("{e}"))?
-                }
-                "--reads-per-round" => {
-                    reads_per_round = val("--reads-per-round")?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?
-                }
-                "--batch" => batch = true,
-                "--members" => members = val("--members")?.parse().map_err(|e| format!("{e}"))?,
-                "--rounds" => {
-                    rounds = val("--rounds")?.parse().map_err(|e| format!("{e}"))?;
-                    rounds_set = true;
-                }
-                "--anytime" => anytime = true,
-                "--window" => window = val("--window")?.parse().map_err(|e| format!("{e}"))?,
-                "--budget-ms" => {
-                    budget_ms = val("--budget-ms")?.parse().map_err(|e| format!("{e}"))?
-                }
-                "--obs" => obs = true,
-                "--flight" => flight = true,
-                "--kill-recover" => kill_recover = true,
-                "--server-bin" => server_bin = Some(val("--server-bin")?),
-                "--data-dir" => data_dir = Some(val("--data-dir")?),
-                "--rounds-before" => {
-                    rounds_before = val("--rounds-before")?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?
-                }
-                "--rounds-after" => {
-                    rounds_after = val("--rounds-after")?.parse().map_err(|e| format!("{e}"))?
-                }
-                other => return Err(format!("unknown option {other:?}")),
-            }
-            Ok(())
-        })();
-        if let Err(e) = parsed {
-            return fail(e);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let out = match args.as_slice() {
+        [] => "target/mpds-load.json".to_string(),
+        [flag, path] if flag == "--out" => path.clone(),
+        _ => {
+            eprintln!("usage: mpds-load [--out PATH]");
+            return ExitCode::FAILURE;
         }
-    }
-
-    cfg.addr = match addr_spec.to_socket_addrs().ok().and_then(|mut a| a.next()) {
-        Some(a) => a,
-        None => return fail(format!("cannot resolve --addr {addr_spec:?}")),
-    };
-    if [batch, churn, anytime, obs, flight, kill_recover]
-        .iter()
-        .filter(|&&m| m)
-        .count()
-        > 1
-    {
-        return fail(
-            "--batch, --churn, --anytime, --obs, --flight, and --kill-recover are mutually \
-             exclusive"
-                .to_string(),
-        );
-    }
-    let out_path = out_path.unwrap_or_else(|| {
-        if kill_recover {
-            "target/BENCH_pr9.json".to_string()
-        } else if flight {
-            "target/BENCH_pr10.json".to_string()
-        } else if obs {
-            "target/BENCH_pr8.json".to_string()
-        } else if anytime {
-            "target/BENCH_pr7.json".to_string()
-        } else if batch {
-            "target/BENCH_pr6.json".to_string()
-        } else if churn {
-            "target/BENCH_pr5.json".to_string()
-        } else {
-            "target/BENCH_pr3.json".to_string()
-        }
-    });
-
-    // Kill-recover owns the server process itself, and the flight harness
-    // binds its own in-process pair; every other mode expects an
-    // already-running server at --addr.
-    if !kill_recover && !flight {
-        if let Err(e) = harness::wait_until_healthy(cfg.addr, Duration::from_secs(wait_secs)) {
-            return fail(e);
-        }
-    }
-
-    let (json, violations) = if kill_recover {
-        let (Some(server_bin), Some(data_dir)) = (server_bin, data_dir) else {
-            return fail(
-                "--kill-recover requires --server-bin PATH and --data-dir PATH".to_string(),
-            );
-        };
-        let kcfg = KillRecoverConfig {
-            server_bin,
-            data_dir,
-            bind: addr_spec.clone(),
-            addr: cfg.addr,
-            rounds_before_kill: rounds_before,
-            rounds_after_restart: rounds_after,
-            batch_edges,
-            server_threads: cfg.server_threads,
-            dataset: cfg.dataset.clone(),
-            theta: cfg.theta,
-            k: cfg.k,
-        };
-        println!(
-            "kill-recover: {} rounds, SIGKILL, restart, {} rounds against {} (data dir {}, dataset {}, theta {}, k {})",
-            kcfg.rounds_before_kill,
-            kcfg.rounds_after_restart,
-            kcfg.bind,
-            kcfg.data_dir,
-            kcfg.dataset,
-            kcfg.theta,
-            kcfg.k
-        );
-        let report = harness::run_kill_recover(&kcfg);
-        println!(
-            "  updates {:>3}+{:>3}, {:>3} errors, p50 {:>8.3} ms; reads p50 {:>8.3} ms",
-            report.updates_before,
-            report.updates_after,
-            report.update_errors,
-            report.update_p50_ms,
-            report.read_p50_ms
-        );
-        println!(
-            "  recovery: generation {} -> {} in {:.1} ms wall ({} records replayed, {} ms server-side)",
-            report.pre_kill_generation,
-            report.recovered_generation,
-            report.recovery_wall_ms,
-            report.replayed_records,
-            report.server_recovery_ms
-        );
-        println!(
-            "  reads identical: {}; generations continuous: {}",
-            report.reads_identical, report.generations_continuous
-        );
-        (
-            harness::render_kill_recover_report(&report),
-            report.violations.clone(),
-        )
-    } else if flight {
-        let defaults = FlightConfig::default();
-        let fcfg = FlightConfig {
-            clients: cfg.clients,
-            queries_per_client: if rounds_set {
-                rounds
-            } else {
-                defaults.queries_per_client
-            },
-            server_threads: cfg.server_threads,
-            dataset: cfg.dataset.clone(),
-            theta: if theta_set { cfg.theta } else { defaults.theta },
-            k: cfg.k,
-        };
-        println!(
-            "flight: {} clients x {} queries/phase against two in-process servers, recorder enabled vs disabled (dataset {}, theta {}, k {})",
-            fcfg.clients, fcfg.queries_per_client, fcfg.dataset, fcfg.theta, fcfg.k
-        );
-        let report = harness::run_flight(&fcfg);
-        for (name, side) in [("enabled", &report.enabled), ("disabled", &report.disabled)] {
-            println!(
-                "  {name:<8} {:>9.1} req/s overall; cold p50 {:>8.3} ms, repeat p50 {:>8.3} ms, {} errors",
-                side.overall_rps,
-                side.cold.p50_ms,
-                side.repeat.p50_ms,
-                side.cold.errors + side.repeat.errors
-            );
-        }
-        println!(
-            "  overhead ratio {:.3} (floor {}), debug/requests {}, slow ring {} records, exemplar {}",
-            report.overhead_ratio,
-            harness::OVERHEAD_RATIO_FLOOR,
-            if report.debug_requests_ok {
-                "ok"
-            } else {
-                "FAILED"
-            },
-            report.debug_slow_len,
-            if report.exemplar_resolved {
-                format!("{} resolved", report.exemplar_trace)
-            } else {
-                "UNRESOLVED".to_string()
-            }
-        );
-        (
-            harness::render_flight_report(&report),
-            report.violations.clone(),
-        )
-    } else if obs {
-        let ocfg = ObsConfig {
-            addr: cfg.addr,
-            clients: cfg.clients,
-            queries_per_client: rounds,
-            server_threads: cfg.server_threads,
-            dataset: cfg.dataset.clone(),
-            theta: if theta_set {
-                cfg.theta
-            } else {
-                ObsConfig::default().theta
-            },
-            k: cfg.k,
-        };
-        println!(
-            "obs: {} clients x {} queries/phase against http://{} (dataset {}, theta {}, k {})",
-            ocfg.clients, ocfg.queries_per_client, ocfg.addr, ocfg.dataset, ocfg.theta, ocfg.k
-        );
-        let report = harness::run_obs(&ocfg);
-        for (name, p, s) in [
-            ("cold", &report.cold, &report.server_cold),
-            ("repeat", &report.repeat, &report.server_repeat),
-        ] {
-            println!(
-                "  {name:<7} {:>5} reqs, {:>3} errors, client p50 {:>8.3} / p99 {:>8.3} ms, server p50 {:>8.3} / p99 {:>8.3} ms ({} observed)",
-                p.requests, p.errors, p.p50_ms, p.p99_ms, s.p50_ms, s.p99_ms, s.requests
-            );
-        }
-        println!(
-            "  profile probe: {}",
-            if report.profile_ok { "ok" } else { "FAILED" }
-        );
-        (
-            harness::render_obs_report(&report),
-            report.violations.clone(),
-        )
-    } else if anytime {
-        let acfg = AnytimeConfig {
-            addr: cfg.addr,
-            clients: cfg.clients,
-            queries_per_client: rounds,
-            server_threads: cfg.server_threads,
-            dataset: cfg.dataset.clone(),
-            theta: if theta_set {
-                cfg.theta
-            } else {
-                AnytimeConfig::default().theta
-            },
-            k: cfg.k,
-            window,
-            budget_ms,
-        };
-        println!(
-            "anytime: {} clients x {} queries/phase against http://{} (dataset {}, theta {}, k {}, window {}, budget {} ms)",
-            acfg.clients,
-            acfg.queries_per_client,
-            acfg.addr,
-            acfg.dataset,
-            acfg.theta,
-            acfg.k,
-            acfg.window,
-            acfg.budget_ms
-        );
-        let report = harness::run_anytime(&acfg);
-        for (name, p) in [
-            ("fixed", &report.fixed),
-            ("stable", &report.stable),
-            ("budget", &report.budget),
-        ] {
-            println!(
-                "  {name:<7} {:>5} reqs, {:>3} errors, p50 {:>8.3} ms, p99 {:>8.3} ms",
-                p.requests, p.errors, p.p50_ms, p.p99_ms
-            );
-        }
-        println!(
-            "  stable speedup {:.2}x, {} budget-truncated, {} 504s, refined {}/{} (wait p50 {:.1} ms)",
-            report.stable_speedup,
-            report.budget_truncated,
-            report.budget_504s,
-            report.refined_hits,
-            report.refined_followups,
-            report.refined_wait_p50_ms
-        );
-        (
-            harness::render_anytime_report(&report),
-            report.violations.clone(),
-        )
-    } else if batch {
-        let bcfg = BatchConfig {
-            addr: cfg.addr,
-            members,
-            rounds,
-            server_threads: cfg.server_threads,
-            dataset: cfg.dataset.clone(),
-            theta: if theta_set {
-                cfg.theta
-            } else {
-                BatchConfig::default().theta
-            },
-        };
-        println!(
-            "batch: {} rounds x {} members against http://{} (dataset {}, theta {})",
-            bcfg.rounds, bcfg.members, bcfg.addr, bcfg.dataset, bcfg.theta
-        );
-        let report = harness::run_batch(&bcfg);
-        for (name, p) in [("standalone", &report.standalone), ("batch", &report.batch)] {
-            println!(
-                "  {name:<10} {:>5} reqs, {:>3} errors, p50 {:>8.3} ms, p99 {:>8.3} ms",
-                p.requests, p.errors, p.p50_ms, p.p99_ms
-            );
-        }
-        println!(
-            "  worlds/member: standalone {:.1}, batch {:.1} — amortization {:.2}x",
-            report.standalone_worlds_per_member,
-            report.batch_worlds_per_member,
-            report.amortization_ratio
-        );
-        println!(
-            "  follow-up cache hit rate: {:.3}",
-            report.followup_hit_rate
-        );
-        (
-            harness::render_batch_report(&report),
-            report.violations.clone(),
-        )
-    } else if churn {
-        let ccfg = ChurnConfig {
-            addr: cfg.addr,
-            clients: cfg.clients,
-            update_batches: updates,
-            batch_edges,
-            reads_per_round,
-            server_threads: cfg.server_threads,
-            dataset: cfg.dataset.clone(),
-            theta: cfg.theta,
-            k: cfg.k,
-        };
-        println!(
-            "churn: {} update batches x {} edges, {} clients x {} reads/round against http://{} (dataset {}, theta {}, k {})",
-            ccfg.update_batches,
-            ccfg.batch_edges,
-            ccfg.clients,
-            ccfg.reads_per_round,
-            ccfg.addr,
-            ccfg.dataset,
-            ccfg.theta,
-            ccfg.k
-        );
-        let report = harness::run_churn(&ccfg);
-        println!(
-            "  reads   {:>5} reqs, {:>3} errors, p50 {:>8.3} ms, p99 {:>8.3} ms",
-            report.reads.requests, report.reads.errors, report.reads.p50_ms, report.reads.p99_ms
-        );
-        println!(
-            "  updates {:>5} reqs, {:>3} errors, p50 {:>8.3} ms, p99 {:>8.3} ms, generations {}..{} ({})",
-            report.updates,
-            report.update_errors,
-            report.update_p50_ms,
-            report.update_p99_ms,
-            report.first_generation,
-            report.last_generation,
-            if report.generations_monotone {
-                "monotone"
-            } else {
-                "NOT MONOTONE"
-            }
-        );
-        println!(
-            "  post-update cache-hit recovery: {:.3}",
-            report.post_update_hit_recovery
-        );
-        (
-            harness::render_churn_report(&report),
-            report.violations.clone(),
-        )
-    } else {
-        println!(
-            "load: {} clients x {} requests ({} cold + {} repeat) against http://{} (dataset {}, theta {}, k {})",
-            cfg.clients,
-            cfg.requests_per_client,
-            cfg.requests_per_client / 2,
-            cfg.requests_per_client - cfg.requests_per_client / 2,
-            cfg.addr,
-            cfg.dataset,
-            cfg.theta,
-            cfg.k
-        );
-        let report = harness::run(&cfg);
-        for (name, p) in [("cold", &report.cold), ("repeat", &report.repeat)] {
-            println!(
-                "  {name:<7} {:>5} reqs, {:>3} errors, {:>9.1} req/s, p50 {:>8.3} ms, p99 {:>8.3} ms",
-                p.requests, p.errors, p.throughput_rps, p.p50_ms, p.p99_ms
-            );
-        }
-        println!(
-            "  repeat-phase cache hit rate: {:.3}",
-            report.repeat_cache_hit_rate
-        );
-        (harness::render_report(&report), report.violations.clone())
     };
 
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
+    let mut report = Report::default();
+    for (name, run, serve, clients, per_client, theta) in SCENARIOS {
+        let (phases, figures, violations) = (
+            report.phases.len(),
+            report.figures.len(),
+            report.violations.len(),
+        );
+        let started = Instant::now();
+        match target(serve) {
+            Ok((server, addr)) => {
+                let load = Load {
+                    addr,
+                    clients,
+                    per_client,
+                    dataset: "karate".to_string(),
+                    theta,
+                    k: 3,
+                };
+                run(&load, &mut report);
+                drop(server);
+            }
+            Err(e) => report.violations.push(format!("{name}: bind: {e}")),
         }
-    }
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        return fail(format!("write {out_path}: {e}"));
-    }
-    println!("wrote {out_path}");
-
-    if violations.is_empty() {
-        if check {
-            println!("check: OK");
+        println!("{name} ({:.1} s)", started.elapsed().as_secs_f64());
+        for p in &report.phases[phases..] {
+            println!(
+                "  {:<24} {:>5} reqs, {:>3} errors, {:>9.1} req/s, p50 {:>8.3} ms, p99 {:>8.3} ms",
+                p.name, p.requests, p.errors, p.throughput_rps, p.p50_ms, p.p99_ms
+            );
         }
-        ExitCode::SUCCESS
-    } else {
-        for v in &violations {
+        for (figure, value) in &report.figures[figures..] {
+            println!("  {figure:<40} {value:.3}");
+        }
+        for v in &report.violations[violations..] {
             eprintln!("violation: {v}");
         }
-        if check {
-            eprintln!("check: FAILED");
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        }
+    }
+
+    if let Some(dir) = std::path::Path::new(&out).parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
+    if let Err(e) = std::fs::write(&out, harness::render(&report)) {
+        eprintln!("error: write {out}: {e}");
+        return ExitCode::FAILURE;
+    }
+    println!("wrote {out}");
+    if report.violations.is_empty() {
+        println!("check: OK");
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("check: FAILED ({} violations)", report.violations.len());
+        ExitCode::FAILURE
     }
 }

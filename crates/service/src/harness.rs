@@ -1,84 +1,92 @@
-//! Loopback load harness: drives a running server with concurrent clients
-//! and emits a `BENCH_pr3.json`-style report.
+//! Loopback load harness: seven scenarios that drive a server over real
+//! HTTP and check the serving invariants end to end.
 //!
-//! Two phases, mirroring the serving claim being benchmarked:
+//! Every scenario is a function `fn(&Load, &mut Report)`. It takes the one
+//! [`Load`] config (target address, client fan-out, query shape), runs its
+//! phases, and writes into the one [`Report`]: per-phase latency stats,
+//! named figures, and violations, each prefixed with the scenario name.
+//! [`render`] serializes a report in one schema ([`SCHEMA`]). Any non-2xx
+//! response in a phase is a violation; the table lists the other checks.
 //!
-//! 1. **cold** — every client issues queries with distinct seeds, so each
-//!    request is a genuine estimator run (measures compute throughput under
-//!    concurrency);
-//! 2. **repeat** — every client issues the *same* query, so after one
-//!    computation the cache and in-flight coalescing must serve the rest
-//!    (measures cached latency, verifies bytewise-identical bodies, and
-//!    reads the cache hit rate off `/metrics`).
+//! | Scenario | Server | Checks beyond zero non-2xx |
+//! |---|---|---|
+//! | [`read`] | any | repeat bodies byte-identical; repeat cache hit rate > 0.9; legacy JSON `/metrics` shape |
+//! | [`churn`] | `mutable` | strictly monotone generations, one per update batch |
+//! | [`batch`] | any | `computed` = members at a fresh seed; amortization ≥ 2; every follow-up a HIT embedded verbatim in the envelope; `worlds_sampled` readable |
+//! | [`anytime`] | any | zero 504s under budget; ≥ 1 budget-truncated body; stable p50 < fixed p50; every budget query refined within 120 s |
+//! | [`obs`] | any | Prometheus text on `Accept: text/plain`; server windows count exactly the requests sent; server p50 within [0.25×−1 ms, 4×+1 ms] of client p50; `?profile=1` has stages and does not leak into the cached body |
+//! | [`flight`] | binds its own two | `/debug/requests` lists its own trace; `/debug/slow` non-empty at a zero threshold; an exemplar resolves to stages; enabled/disabled throughput ≥ [`OVERHEAD_RATIO_FLOOR`] |
+//! | [`kill_recover`] | spawns `mpds-cli` | recovered generation = pre-kill generation; byte-identical read across the SIGKILL; gap-free generations after the restart |
 //!
-//! The **churn** harness ([`run_churn`], `mpds-load --churn`, emits
-//! `BENCH_pr5.json`) interleaves `POST /update` mutation batches with that
-//! read workload against a `serve --mutable` server: per round it applies
-//! one batch (insert fresh edges, re-weight half of the previous round's,
-//! delete the other half), asserts the canonical read is recomputed under
-//! the new generation (`X-Cache: MISS` then `HIT`), and fires a concurrent
-//! read burst. Its `--check` gate demands zero non-2xx anywhere and
-//! strictly monotone generations across the update responses.
-//!
-//! The **anytime** harness ([`run_anytime`], `mpds-load --anytime`, emits
-//! `BENCH_pr7.json`) exercises the stop-policy API end to end: a cold
-//! fixed-θ phase, a cold `stop=stable` phase that must beat it at the
-//! median, a tight-`budget_ms` phase where every response must be a 200
-//! (zero 504s) with at least one genuinely budget-truncated body, and a
-//! follow-up phase that polls each budget query until the background
-//! refinement tier republishes a converged body under the same cache key.
-//!
-//! The **observability** harness ([`run_obs`], `mpds-load --obs`, emits
-//! `BENCH_pr8.json`) closes the loop on the server's own latency
-//! histograms: it scrapes the Prometheus `/metrics` exposition around a
-//! cold and a repeat phase, reconstructs the per-phase server-side
-//! latency distribution with [`mpds_obs::scrape::prom_histogram`], and
-//! cross-checks the server-side p50/p99 against the client-side timings.
-//! Its `--check` gate also exercises `?profile=1` cache-neutrality.
-//!
-//! The **kill-recover** harness ([`run_kill_recover`], `mpds-load
-//! --kill-recover`, emits `BENCH_pr9.json`) proves the durability claim end
-//! to end: it spawns `mpds-cli serve --mutable --data-dir` itself, applies
-//! churn batches, SIGKILLs the server mid-stream (no flush, no graceful
-//! shutdown), restarts it from the same `--data-dir`, and gates on exact
-//! generation continuity, a byte-identical canonical read across the crash,
-//! and further updates resuming at the very next generation.
-//!
-//! The **flight** harness ([`run_flight`], `mpds-load --flight`, emits
-//! `BENCH_pr10.json`) is self-contained: it binds two in-process servers —
-//! flight recorder enabled vs disabled — runs the identical cold/repeat
-//! workload against both, and gates the enabled/disabled throughput ratio
-//! at [`OVERHEAD_RATIO_FLOOR`]. Against the enabled server it also proves
-//! the introspection loop end to end: `/debug/requests` observing its own
-//! in-flight trace, a populated slow-query ring, and a Prometheus
-//! histogram exemplar resolving through `/debug/trace/<id>` to a
-//! per-stage breakdown.
-//!
-//! The harness is a plain blocking TCP client — no shared state with the
-//! server beyond the socket — so it can drive an in-process loopback
-//! server (tests) or an external `mpds-cli serve` (the CI smoke job)
-//! identically. All response scraping (flat JSON counters, Prometheus
-//! text) goes through the shared [`mpds_obs::scrape`] parser.
+//! The harness is a plain blocking TCP client with no state shared with
+//! the server beyond the socket. `mpds-load` runs all seven scenarios
+//! against servers it starts itself; the loopback tests run them small
+//! against their own. All response scraping (flat JSON counters,
+//! Prometheus text) goes through the shared [`mpds_obs::scrape`] parser.
 
+use crate::json::JsonWriter;
 use mpds_obs::scrape;
 use mpds_obs::HistogramSnapshot;
+use std::fmt::Display;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::Path;
+use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Harness parameters.
+/// The schema string of a rendered [`Report`].
+pub const SCHEMA: &str = "mpds-service/load_report/v1";
+
+/// Update rounds of one [`churn`] run.
+pub const CHURN_ROUNDS: usize = 8;
+
+/// Edges inserted per update round of [`churn`] and [`kill_recover`]
+/// (see [`churn_batch`]).
+pub const BATCH_EDGES: usize = 16;
+
+/// Members of each [`batch`] request.
+pub const BATCH_MEMBERS: usize = 8;
+
+/// `stop=stable` window of [`anytime`]'s stable phase.
+pub const STABLE_WINDOW: u32 = 64;
+
+/// `budget_ms` of [`anytime`]'s budget phase: far below a cold run, so
+/// truncation actually happens.
+pub const BUDGET_MS: u64 = 10;
+
+/// Minimum allowed `enabled/disabled` throughput ratio in [`flight`]: the
+/// flight recorder may cost at most 5% under the harness workload.
+pub const OVERHEAD_RATIO_FLOOR: f64 = 0.95;
+
+/// Update rounds [`kill_recover`] applies before the SIGKILL.
+pub const ROUNDS_BEFORE_KILL: usize = 6;
+
+/// Update rounds [`kill_recover`] applies after the restart.
+pub const ROUNDS_AFTER_RESTART: usize = 4;
+
+/// Worker threads of the servers [`flight`] binds and [`kill_recover`]
+/// spawns.
+const SERVER_THREADS: usize = 4;
+
+/// Client timeout of every harness request.
+const TIMEOUT: Duration = Duration::from_secs(120);
+
+/// The body marker of a budget-truncated anytime answer.
+const BUDGET_MARK: &str = "\"stop_reason\":\"budget\"";
+
+/// What a scenario drives: the server and the traffic shape.
 #[derive(Debug, Clone)]
-pub struct HarnessConfig {
-    /// Server address.
+pub struct Load {
+    /// Server address. [`kill_recover`] binds its spawned server here;
+    /// [`flight`] ignores it and binds its own pair.
     pub addr: SocketAddr,
-    /// Concurrent client threads.
+    /// Concurrent client threads per phase.
     pub clients: usize,
-    /// Requests per client (split evenly between the two phases).
-    pub requests_per_client: usize,
-    /// Reported in the JSON (the harness cannot observe it remotely).
-    pub server_threads: usize,
-    /// Dataset queried.
+    /// Requests per client per phase ([`churn`]: reads per client per
+    /// round; [`batch`]: rounds).
+    pub per_client: usize,
+    /// Dataset queried (and updated).
     pub dataset: String,
     /// Worlds per query.
     pub theta: usize,
@@ -86,13 +94,12 @@ pub struct HarnessConfig {
     pub k: usize,
 }
 
-impl Default for HarnessConfig {
+impl Default for Load {
     fn default() -> Self {
-        HarnessConfig {
-            addr: SocketAddr::from(([127, 0, 0, 1], 7878)),
-            clients: 32,
-            requests_per_client: 50,
-            server_threads: 4,
+        Load {
+            addr: SocketAddr::from(([127, 0, 0, 1], 0)),
+            clients: 8,
+            per_client: 4,
             dataset: "karate".to_string(),
             theta: 64,
             k: 3,
@@ -100,10 +107,20 @@ impl Default for HarnessConfig {
     }
 }
 
+impl Load {
+    /// The `/query` path prefix of this load's query shape.
+    fn query(&self) -> String {
+        format!(
+            "/query?dataset={}&theta={}&k={}",
+            self.dataset, self.theta, self.k
+        )
+    }
+}
+
 /// One HTTP exchange as seen by a harness client.
 #[derive(Debug, Clone)]
 pub struct Exchange {
-    /// HTTP status code.
+    /// HTTP status code (0 for a transport failure inside a scenario).
     pub status: u16,
     /// Response body bytes.
     pub body: Vec<u8>,
@@ -117,36 +134,18 @@ pub struct Exchange {
     pub trace_id: Option<String>,
 }
 
-/// Latency/throughput summary of one phase.
-#[derive(Debug, Clone)]
-pub struct PhaseStats {
-    /// Requests issued.
-    pub requests: usize,
-    /// Responses with a non-2xx status.
-    pub errors: usize,
-    /// Requests per second over the phase wall clock.
-    pub throughput_rps: f64,
-    /// Median latency, milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile latency, milliseconds.
-    pub p99_ms: f64,
-}
+impl Exchange {
+    fn ok(&self) -> bool {
+        (200..300).contains(&self.status)
+    }
 
-/// Full harness outcome.
-#[derive(Debug, Clone)]
-pub struct HarnessReport {
-    /// Configuration echo.
-    pub config: HarnessConfig,
-    /// Cold-phase (distinct seeds) stats.
-    pub cold: PhaseStats,
-    /// Repeat-phase (identical query) stats.
-    pub repeat: PhaseStats,
-    /// Cache hit rate over the repeat phase's lookups (hits / lookups,
-    /// where coalesced joins count as hits — they did not recompute).
-    pub repeat_cache_hit_rate: f64,
-    /// Hard failures: non-2xx responses, divergent repeat bodies, low hit
-    /// rate. Empty means the `--check` contract holds.
-    pub violations: Vec<String>,
+    fn text(&self) -> String {
+        String::from_utf8_lossy(&self.body).into_owned()
+    }
+
+    fn hit(&self) -> bool {
+        self.x_cache.as_deref() == Some("HIT")
+    }
 }
 
 /// Issues one blocking request (the head and optional body are passed
@@ -227,8 +226,8 @@ pub fn http_post(
     http_exchange(addr, &req, timeout)
 }
 
-/// Polls `/healthz` until the server answers (used by the CI smoke job to
-/// wait out the server's startup).
+/// Polls `/healthz` until the server answers (used to wait out a spawned
+/// server's startup).
 pub fn wait_until_healthy(addr: SocketAddr, budget: Duration) -> Result<(), String> {
     let deadline = Instant::now() + budget;
     loop {
@@ -242,6 +241,34 @@ pub fn wait_until_healthy(addr: SocketAddr, budget: Duration) -> Result<(), Stri
     }
 }
 
+/// Turns a transport failure into a status-0 exchange whose body names the
+/// error, so phases count it as a non-2xx instead of dropping it.
+fn settle(result: std::io::Result<Exchange>, what: &str) -> Exchange {
+    result.unwrap_or_else(|e| Exchange {
+        status: 0,
+        body: format!("{what}: {e}").into_bytes(),
+        latency: Duration::ZERO,
+        x_cache: None,
+        trace_id: None,
+    })
+}
+
+fn get(addr: SocketAddr, path: &str) -> Exchange {
+    settle(http_get(addr, path, TIMEOUT), path)
+}
+
+/// `/metrics` as Prometheus text.
+fn get_prom_metrics(addr: SocketAddr) -> Exchange {
+    settle(
+        http_get_accept(addr, "/metrics", "text/plain", TIMEOUT),
+        "/metrics",
+    )
+}
+
+fn post(addr: SocketAddr, path: &str, body: &[u8]) -> Exchange {
+    settle(http_post(addr, path, body, TIMEOUT), path)
+}
+
 fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
     if sorted_ms.is_empty() {
         return 0.0;
@@ -250,191 +277,152 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
     sorted_ms[idx]
 }
 
-/// Runs one phase: `clients` threads, each issuing `per_client` requests
-/// produced by `path_of(client, i)`. Returns per-request exchanges plus the
-/// phase wall clock.
+/// Runs one phase: `load.clients` threads against `load.addr`, each
+/// issuing `per_client` GETs produced by `path_of(client, i)`. Returns
+/// every exchange plus the phase wall clock.
 fn run_phase(
-    cfg: &HarnessConfig,
+    load: &Load,
     per_client: usize,
     path_of: impl Fn(usize, usize) -> String + Sync,
 ) -> (Vec<Exchange>, Duration) {
-    let all: Mutex<Vec<Exchange>> = Mutex::new(Vec::with_capacity(cfg.clients * per_client));
-    let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
+    let all = Mutex::new(Vec::with_capacity(load.clients * per_client));
     let start = Instant::now();
     std::thread::scope(|scope| {
-        for c in 0..cfg.clients {
-            let all = &all;
-            let errors = &errors;
-            let path_of = &path_of;
+        for c in 0..load.clients {
+            let (all, path_of) = (&all, &path_of);
             scope.spawn(move || {
                 for i in 0..per_client {
-                    match http_get(cfg.addr, &path_of(c, i), Duration::from_secs(120)) {
-                        Ok(ex) => all.lock().unwrap().push(ex),
-                        Err(e) => errors
-                            .lock()
-                            .unwrap()
-                            .push(format!("client {c} request {i}: {e}")),
-                    }
+                    let e = get(load.addr, &path_of(c, i));
+                    all.lock()
+                        .expect("no client panics holding the lock")
+                        .push(e);
                 }
             });
         }
     });
-    let elapsed = start.elapsed();
-    let mut all = all.into_inner().unwrap();
-    // Transport-level failures surface as synthetic status-0 exchanges so
-    // they are counted as errors rather than silently dropped.
-    for e in errors.into_inner().unwrap() {
-        all.push(Exchange {
-            status: 0,
-            body: e.into_bytes(),
-            latency: elapsed,
-            x_cache: None,
-            trace_id: None,
-        });
-    }
-    (all, elapsed)
+    let all = all.into_inner().expect("no client panics holding the lock");
+    (all, start.elapsed())
 }
 
-fn phase_stats(exchanges: &[Exchange], elapsed: Duration) -> PhaseStats {
-    // Transport failures (synthetic status 0) carry no meaningful latency;
-    // they count as errors but must not poison the percentiles.
-    let mut lat_ms: Vec<f64> = exchanges
-        .iter()
-        .filter(|e| e.status != 0)
-        .map(|e| e.latency.as_secs_f64() * 1e3)
-        .collect();
-    lat_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    PhaseStats {
-        requests: exchanges.len(),
-        errors: exchanges
+/// Latency/throughput summary of one phase.
+#[derive(Debug, Clone)]
+pub struct Phase {
+    /// `scenario.phase`.
+    pub name: String,
+    /// Requests issued.
+    pub requests: usize,
+    /// Responses with a non-2xx status (transport failures included).
+    pub errors: usize,
+    /// Requests per second over the phase wall clock.
+    pub throughput_rps: f64,
+    /// Median latency, milliseconds.
+    pub p50_ms: f64,
+    /// 99th-percentile latency, milliseconds.
+    pub p99_ms: f64,
+}
+
+/// Everything one harness run measured and every invariant it saw broken.
+#[derive(Debug, Clone, Default)]
+pub struct Report {
+    /// Per-phase stats, in run order.
+    pub phases: Vec<Phase>,
+    /// Named scalar results (`scenario.figure`); flags are `1.0` / `0.0`.
+    pub figures: Vec<(String, f64)>,
+    /// Broken invariants (`scenario: …`). Empty means every check held.
+    pub violations: Vec<String>,
+}
+
+impl Report {
+    /// The phase named `scenario.phase`.
+    pub fn phase(&self, name: &str) -> Option<&Phase> {
+        self.phases.iter().find(|p| p.name == name)
+    }
+
+    /// The figure named `scenario.figure`.
+    pub fn figure(&self, name: &str) -> Option<f64> {
+        self.figures
             .iter()
-            .filter(|e| !(200..300).contains(&e.status))
-            .count(),
-        throughput_rps: exchanges.len() as f64 / elapsed.as_secs_f64().max(1e-9),
-        p50_ms: percentile(&lat_ms, 0.50),
-        p99_ms: percentile(&lat_ms, 0.99),
+            .find(|(n, _)| n == name)
+            .map(|&(_, v)| v)
+    }
+
+    fn scenario(&mut self, name: &'static str) -> Scope<'_> {
+        Scope { name, report: self }
     }
 }
 
-/// Runs the full two-phase load harness against `cfg.addr`.
-pub fn run(cfg: &HarnessConfig) -> HarnessReport {
-    let mut violations = Vec::new();
-    let per_phase = (cfg.requests_per_client / 2).max(1);
-    let query_base = format!(
-        "/query?dataset={}&theta={}&k={}",
-        cfg.dataset, cfg.theta, cfg.k
-    );
+/// A [`Report`] as one scenario writes it: every name gets the scenario
+/// prefix.
+struct Scope<'a> {
+    name: &'static str,
+    report: &'a mut Report,
+}
 
-    // Phase 1 — cold: distinct seeds, every request computes.
-    let (cold_ex, cold_elapsed) = run_phase(cfg, per_phase, |c, i| {
-        format!("{query_base}&seed={}", 10_000 + (c * per_phase + i) as u64)
-    });
-    let cold = phase_stats(&cold_ex, cold_elapsed);
-
-    // Snapshot cache counters between phases.
-    let before = http_get(cfg.addr, "/metrics", Duration::from_secs(10)).ok();
-
-    // Phase 2 — repeat: one identical query from every client.
-    let (repeat_ex, repeat_elapsed) =
-        run_phase(cfg, per_phase, |_, _| format!("{query_base}&seed=42"));
-    let repeat = phase_stats(&repeat_ex, repeat_elapsed);
-
-    let after = http_get(cfg.addr, "/metrics", Duration::from_secs(10)).ok();
-
-    // Violation 1: any non-2xx anywhere (the harness never overloads an
-    // adequately provisioned queue, so a 503 here is a real failure).
-    for (phase, stats) in [("cold", &cold), ("repeat", &repeat)] {
-        if stats.errors > 0 {
-            violations.push(format!("{phase} phase: {} non-2xx responses", stats.errors));
-        }
-    }
-
-    // Violation 2: repeat-phase bodies must be bytewise identical.
-    let bodies: Vec<&Vec<u8>> = repeat_ex
-        .iter()
-        .filter(|e| (200..300).contains(&e.status))
-        .map(|e| &e.body)
-        .collect();
-    if let Some(first) = bodies.first() {
-        let divergent = bodies.iter().filter(|b| *b != first).count();
-        if divergent > 0 {
-            violations.push(format!(
-                "repeat phase: {divergent} of {} bodies differ from the first",
-                bodies.len()
+impl Scope<'_> {
+    /// Records a phase; any non-2xx response in it is a violation.
+    fn phase(&mut self, phase: &str, exchanges: &[Exchange], elapsed: Duration) -> Phase {
+        // Transport failures (status 0) carry no meaningful latency; they
+        // count as errors but must not poison the percentiles.
+        let mut lat_ms: Vec<f64> = exchanges
+            .iter()
+            .filter(|e| e.status != 0)
+            .map(|e| e.latency.as_secs_f64() * 1e3)
+            .collect();
+        lat_ms.sort_by(f64::total_cmp);
+        let failed: Vec<&Exchange> = exchanges.iter().filter(|e| !e.ok()).collect();
+        if let Some(first) = failed.first() {
+            self.violation(format!(
+                "{phase}: {} non-2xx responses (first: {} {})",
+                failed.len(),
+                first.status,
+                first.text()
             ));
         }
-    } else {
-        violations.push("repeat phase: no successful responses".to_string());
+        let p = Phase {
+            name: format!("{}.{phase}", self.name),
+            requests: exchanges.len(),
+            errors: failed.len(),
+            throughput_rps: exchanges.len() as f64 / elapsed.as_secs_f64().max(1e-9),
+            p50_ms: percentile(&lat_ms, 0.50),
+            p99_ms: percentile(&lat_ms, 0.99),
+        };
+        self.report.phases.push(p.clone());
+        p
     }
 
-    // Violation 3: cache hit rate over the repeat phase (from /metrics
-    // deltas; coalesced joins count as hits — they did not recompute).
-    let repeat_cache_hit_rate = match (&before, &after) {
-        (Some(b), Some(a)) => {
-            let bt = String::from_utf8_lossy(&b.body).into_owned();
-            let at = String::from_utf8_lossy(&a.body).into_owned();
-            let delta = |key: &str| -> u64 {
-                scrape::json_uint(&at, key)
-                    .unwrap_or(0)
-                    .saturating_sub(scrape::json_uint(&bt, key).unwrap_or(0))
-            };
-            let (hits, misses, coalesced) = (delta("hits"), delta("misses"), delta("coalesced"));
-            // Every request performs exactly one cache lookup (coalesced
-            // requests miss first, then join), so lookups = requests and
-            // requests served without recomputation = hits + coalesced.
-            let lookups = hits + misses;
-            if lookups == 0 {
-                0.0
-            } else {
-                (hits + coalesced) as f64 / lookups as f64
-            }
-        }
-        _ => {
-            violations.push("could not read /metrics".to_string());
-            0.0
-        }
-    };
-    if repeat_cache_hit_rate <= 0.9 {
-        violations.push(format!(
-            "repeat-phase cache hit rate {repeat_cache_hit_rate:.3} not above 0.9"
-        ));
+    fn figure(&mut self, name: &str, value: f64) {
+        self.report
+            .figures
+            .push((format!("{}.{name}", self.name), value));
     }
 
-    HarnessReport {
-        config: cfg.clone(),
-        cold,
-        repeat,
-        repeat_cache_hit_rate,
-        violations,
+    fn flag(&mut self, name: &str, value: bool) {
+        self.figure(name, if value { 1.0 } else { 0.0 });
+    }
+
+    fn violation(&mut self, message: impl Display) {
+        self.report
+            .violations
+            .push(format!("{}: {message}", self.name));
     }
 }
 
-/// Serializes a report in the `BENCH_pr3.json` schema.
-pub fn render_report(r: &HarnessReport) -> String {
-    use crate::json::JsonWriter;
+/// Serializes a report in the [`SCHEMA`] schema.
+pub fn render(r: &Report) -> String {
     let mut w = JsonWriter::new();
     w.begin_object()
-        .field_str("schema", "mpds-service/load_harness/v1")
+        .field_str("schema", SCHEMA)
         .field_str(
             "note",
-            "loopback load harness; latencies are machine-dependent, the checked \
-             invariants are zero non-2xx, bytewise-identical repeat bodies, and \
-             repeat cache hit rate > 0.9",
+            "loopback load harness: read, churn, batch, anytime, obs, flight and \
+             kill_recover scenarios; latencies are machine-dependent, the checked \
+             invariants are the violations",
         )
-        .key("config")
-        .begin_object()
-        .field_str("dataset", &r.config.dataset)
-        .field_uint("clients", r.config.clients as u64)
-        .field_uint("requests_per_client", r.config.requests_per_client as u64)
-        .field_uint("server_threads", r.config.server_threads as u64)
-        .field_uint("theta", r.config.theta as u64)
-        .field_uint("k", r.config.k as u64)
-        .end_object()
         .key("phases")
         .begin_array();
-    for (name, p) in [("cold", &r.cold), ("repeat", &r.repeat)] {
+    for p in &r.phases {
         w.begin_object()
-            .field_str("name", name)
+            .field_str("name", &p.name)
             .field_uint("requests", p.requests as u64)
             .field_uint("errors", p.errors as u64)
             .field_float("throughput_rps", round3(p.throughput_rps))
@@ -442,10 +430,11 @@ pub fn render_report(r: &HarnessReport) -> String {
             .field_float("p99_ms", round3(p.p99_ms))
             .end_object();
     }
-    w.end_array()
-        .field_float("repeat_cache_hit_rate", round3(r.repeat_cache_hit_rate))
-        .key("violations")
-        .begin_array();
+    w.end_array().key("figures").begin_object();
+    for (name, value) in &r.figures {
+        w.field_float(name, round3(*value));
+    }
+    w.end_object().key("violations").begin_array();
     for v in &r.violations {
         w.string(v);
     }
@@ -459,74 +448,72 @@ fn round3(v: f64) -> f64 {
     (v * 1000.0).round() / 1000.0
 }
 
-/// Churn-harness parameters (see [`run_churn`]).
-#[derive(Debug, Clone)]
-pub struct ChurnConfig {
-    /// Server address (must be a `serve --mutable` server).
-    pub addr: SocketAddr,
-    /// Concurrent reader threads per read burst.
-    pub clients: usize,
-    /// Update rounds.
-    pub update_batches: usize,
-    /// Edges inserted per round (each round also re-weights half of the
-    /// previous round's insertions and deletes the other half).
-    pub batch_edges: usize,
-    /// Reads per client per round.
-    pub reads_per_round: usize,
-    /// Reported in the JSON (the harness cannot observe it remotely).
-    pub server_threads: usize,
-    /// Dataset updated and queried.
-    pub dataset: String,
-    /// Worlds per query.
-    pub theta: usize,
-    /// Result count per query.
-    pub k: usize,
-}
+/// **read** — a cold phase (distinct seeds, every request computes), then a
+/// repeat phase (one identical query the cache and in-flight coalescing
+/// must absorb). Checks byte-identical repeat bodies and a repeat cache hit
+/// rate above 0.9, read off the legacy JSON `/metrics` body.
+pub fn read(load: &Load, report: &mut Report) {
+    let mut r = report.scenario("read");
+    let base = load.query();
+    let per = load.per_client.max(1);
+    let (cold, elapsed) = run_phase(load, per, |c, i| {
+        format!("{base}&seed={}", 10_000 + (c * per + i) as u64)
+    });
+    r.phase("cold", &cold, elapsed);
 
-impl Default for ChurnConfig {
-    fn default() -> Self {
-        ChurnConfig {
-            addr: SocketAddr::from(([127, 0, 0, 1], 7878)),
-            clients: 8,
-            update_batches: 8,
-            batch_edges: 16,
-            reads_per_round: 4,
-            server_threads: 4,
-            dataset: "karate".to_string(),
-            theta: 64,
-            k: 3,
+    let before = legacy_metrics(load.addr, &mut r);
+    let (repeat, elapsed) = run_phase(load, per, |_, _| format!("{base}&seed=42"));
+    r.phase("repeat", &repeat, elapsed);
+    let after = legacy_metrics(load.addr, &mut r);
+
+    let bodies: Vec<&Vec<u8>> = repeat.iter().filter(|e| e.ok()).map(|e| &e.body).collect();
+    match bodies.first() {
+        Some(first) => {
+            let divergent = bodies.iter().filter(|b| *b != first).count();
+            if divergent > 0 {
+                r.violation(format!(
+                    "repeat: {divergent} of {} bodies differ from the first",
+                    bodies.len()
+                ));
+            }
         }
+        None => r.violation("repeat: no successful responses"),
+    }
+
+    // Every request performs exactly one cache lookup (coalesced requests
+    // miss first, then join), so lookups = hits + misses and the requests
+    // served without recomputation = hits + coalesced.
+    let hit_rate = match (before, after) {
+        (Some(b), Some(a)) => {
+            let delta = |key: &str| {
+                scrape::json_uint(&a, key)
+                    .unwrap_or(0)
+                    .saturating_sub(scrape::json_uint(&b, key).unwrap_or(0))
+            };
+            let lookups = delta("hits") + delta("misses");
+            (delta("hits") + delta("coalesced")) as f64 / lookups.max(1) as f64
+        }
+        _ => 0.0,
+    };
+    r.figure("repeat_cache_hit_rate", hit_rate);
+    if hit_rate <= 0.9 {
+        r.violation(format!("repeat cache hit rate {hit_rate:.3} not above 0.9"));
     }
 }
 
-/// Full churn-harness outcome (`BENCH_pr5.json`).
-#[derive(Debug, Clone)]
-pub struct ChurnReport {
-    /// Configuration echo.
-    pub config: ChurnConfig,
-    /// All interleaved reads (bursts + the per-round recovery probes).
-    pub reads: PhaseStats,
-    /// Update batches applied.
-    pub updates: usize,
-    /// Update responses with a non-2xx status.
-    pub update_errors: usize,
-    /// Median update latency, milliseconds.
-    pub update_p50_ms: f64,
-    /// 99th-percentile update latency, milliseconds.
-    pub update_p99_ms: f64,
-    /// Generation reported by the first update response.
-    pub first_generation: u64,
-    /// Generation reported by the last update response.
-    pub last_generation: u64,
-    /// Whether the update-response generations were strictly increasing.
-    pub generations_monotone: bool,
-    /// Fraction of rounds whose canonical read was `X-Cache: MISS` right
-    /// after the update and `HIT` on the immediate repeat — the cache
-    /// recovering at the new generation.
-    pub post_update_hit_recovery: f64,
-    /// Hard failures: non-2xx anywhere or non-monotone generations. Empty
-    /// means the `--check` contract holds.
-    pub violations: Vec<String>,
+/// Reads the legacy JSON `/metrics` body, checking its `"cache":{"hits":`
+/// shape.
+fn legacy_metrics(addr: SocketAddr, r: &mut Scope) -> Option<String> {
+    let e = get(addr, "/metrics");
+    if !e.ok() {
+        r.violation(format!("/metrics: status {} {}", e.status, e.text()));
+        return None;
+    }
+    let body = e.text();
+    if !body.contains("\"cache\":{\"hits\":") {
+        r.violation("legacy JSON /metrics has no \"cache\":{\"hits\": counter");
+    }
+    Some(body)
 }
 
 /// The deterministic mutation batch of churn round `round`: inserts
@@ -558,246 +545,78 @@ pub fn churn_batch(round: usize, batch_edges: usize) -> String {
     out
 }
 
-/// Runs the churn harness against `cfg.addr` (which must serve `/update`,
-/// i.e. `mpds-cli serve --mutable`).
-pub fn run_churn(cfg: &ChurnConfig) -> ChurnReport {
-    let mut violations = Vec::new();
-    let query_path = format!(
-        "/query?dataset={}&theta={}&k={}&seed=42",
-        cfg.dataset, cfg.theta, cfg.k
-    );
-    let timeout = Duration::from_secs(120);
+/// POSTs churn round `round` to `load`'s dataset and records the
+/// acknowledged generation.
+fn apply_round(
+    load: &Load,
+    round: usize,
+    updates: &mut Vec<Exchange>,
+    generations: &mut Vec<u64>,
+    r: &mut Scope,
+) {
+    let path = format!("/update?dataset={}", load.dataset);
+    let e = post(load.addr, &path, churn_batch(round, BATCH_EDGES).as_bytes());
+    if e.ok() {
+        match scrape::json_uint(&e.text(), "generation") {
+            Some(g) => generations.push(g),
+            None => r.violation(format!("round {round}: no generation in update response")),
+        }
+    }
+    updates.push(e);
+}
 
+/// **churn** — [`CHURN_ROUNDS`] update batches against a `mutable` server,
+/// each followed by a recovery probe (the canonical read must MISS under
+/// the new generation, then HIT) and a concurrent read burst. Checks
+/// strictly monotone generations, one per batch.
+pub fn churn(load: &Load, report: &mut Report) {
+    let mut r = report.scenario("churn");
+    let query = format!("{}&seed=42", load.query());
+    let (mut reads, mut updates, mut generations) = (Vec::new(), Vec::new(), Vec::new());
     // Warm the cache at the starting generation so round 0's MISS is
     // attributable to the generation bump, not to a cold cache.
-    let mut all_reads: Vec<Exchange> = Vec::new();
-    let mut read_elapsed = Duration::ZERO;
-    match http_get(cfg.addr, &query_path, timeout) {
-        Ok(e) => {
-            read_elapsed += e.latency;
-            all_reads.push(e);
+    let warm = get(load.addr, &query);
+    let mut reads_elapsed = warm.latency;
+    reads.push(warm);
+    let mut recovered = 0usize;
+    for round in 0..CHURN_ROUNDS {
+        apply_round(load, round, &mut updates, &mut generations, &mut r);
+        let (first, second) = (get(load.addr, &query), get(load.addr, &query));
+        if first.x_cache.as_deref() == Some("MISS") && second.hit() {
+            recovered += 1;
         }
-        Err(e) => violations.push(format!("warm read failed: {e}")),
+        reads_elapsed += first.latency + second.latency;
+        reads.extend([first, second]);
+        let (burst, elapsed) = run_phase(load, load.per_client, |_, _| query.clone());
+        reads_elapsed += elapsed;
+        reads.extend(burst);
     }
+    r.phase("reads", &reads, reads_elapsed);
+    r.phase("updates", &updates, updates.iter().map(|e| e.latency).sum());
 
-    let mut update_latencies_ms: Vec<f64> = Vec::new();
-    let mut update_errors = 0usize;
-    let mut generations: Vec<u64> = Vec::new();
-    let mut recovered_rounds = 0usize;
-
-    for round in 0..cfg.update_batches {
-        // 1. Apply the round's mutation batch.
-        let batch = churn_batch(round, cfg.batch_edges);
-        let path = format!("/update?dataset={}", cfg.dataset);
-        match http_post(cfg.addr, &path, batch.as_bytes(), timeout) {
-            Ok(e) => {
-                update_latencies_ms.push(e.latency.as_secs_f64() * 1e3);
-                if (200..300).contains(&e.status) {
-                    let body = String::from_utf8_lossy(&e.body).into_owned();
-                    match scrape::json_uint(&body, "generation") {
-                        Some(g) => generations.push(g),
-                        None => violations
-                            .push(format!("round {round}: no generation in update response")),
-                    }
-                } else {
-                    update_errors += 1;
-                    violations.push(format!(
-                        "round {round}: update answered {}: {}",
-                        e.status,
-                        String::from_utf8_lossy(&e.body)
-                    ));
-                }
-            }
-            Err(e) => {
-                update_errors += 1;
-                violations.push(format!("round {round}: update failed: {e}"));
-            }
-        }
-
-        // 2. Recovery probe: the canonical read must recompute under the
-        //    new generation (MISS), then serve from cache (HIT).
-        let mut probe =
-            |label: &str, reads: &mut Vec<Exchange>, elapsed: &mut Duration| match http_get(
-                cfg.addr,
-                &query_path,
-                timeout,
-            ) {
-                Ok(e) => {
-                    *elapsed += e.latency;
-                    let x = e.x_cache.clone();
-                    reads.push(e);
-                    x
-                }
-                Err(err) => {
-                    violations.push(format!("round {round}: {label} probe failed: {err}"));
-                    None
-                }
-            };
-        let first = probe("post-update", &mut all_reads, &mut read_elapsed);
-        let second = probe("repeat", &mut all_reads, &mut read_elapsed);
-        if first.as_deref() == Some("MISS") && second.as_deref() == Some("HIT") {
-            recovered_rounds += 1;
-        }
-
-        // 3. Concurrent read burst at the new generation.
-        let burst_cfg = HarnessConfig {
-            addr: cfg.addr,
-            clients: cfg.clients,
-            requests_per_client: cfg.reads_per_round,
-            server_threads: cfg.server_threads,
-            dataset: cfg.dataset.clone(),
-            theta: cfg.theta,
-            k: cfg.k,
-        };
-        let (burst, burst_elapsed) =
-            run_phase(&burst_cfg, cfg.reads_per_round, |_, _| query_path.clone());
-        read_elapsed += burst_elapsed;
-        all_reads.extend(burst);
+    let monotone = generations.windows(2).all(|w| w[0] < w[1]);
+    if !monotone {
+        r.violation(format!("generations not monotone: {generations:?}"));
     }
-
-    let reads = phase_stats(&all_reads, read_elapsed);
-    if reads.errors > 0 {
-        violations.push(format!("reads: {} non-2xx responses", reads.errors));
-    }
-    let generations_monotone = generations.windows(2).all(|w| w[0] < w[1]);
-    if !generations_monotone {
-        violations.push(format!("generations not monotone: {generations:?}"));
-    }
-    if generations.len() != cfg.update_batches {
-        violations.push(format!(
-            "expected {} update generations, observed {}",
-            cfg.update_batches,
+    if generations.len() != CHURN_ROUNDS {
+        r.violation(format!(
+            "expected {CHURN_ROUNDS} update generations, observed {}",
             generations.len()
         ));
     }
-    update_latencies_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    ChurnReport {
-        config: cfg.clone(),
-        reads,
-        updates: cfg.update_batches,
-        update_errors,
-        update_p50_ms: percentile(&update_latencies_ms, 0.50),
-        update_p99_ms: percentile(&update_latencies_ms, 0.99),
-        first_generation: generations.first().copied().unwrap_or(0),
-        last_generation: generations.last().copied().unwrap_or(0),
-        generations_monotone,
-        post_update_hit_recovery: if cfg.update_batches == 0 {
-            1.0
-        } else {
-            recovered_rounds as f64 / cfg.update_batches as f64
-        },
-        violations,
-    }
-}
-
-/// Serializes a churn report in the `BENCH_pr5.json` schema.
-pub fn render_churn_report(r: &ChurnReport) -> String {
-    use crate::json::JsonWriter;
-    let mut w = JsonWriter::new();
-    w.begin_object()
-        .field_str("schema", "mpds-service/churn_harness/v1")
-        .field_str(
-            "note",
-            "update/read churn harness; latencies are machine-dependent, the checked \
-             invariants are zero non-2xx anywhere and strictly monotone generations \
-             across update responses",
-        )
-        .key("config")
-        .begin_object()
-        .field_str("dataset", &r.config.dataset)
-        .field_uint("clients", r.config.clients as u64)
-        .field_uint("update_batches", r.config.update_batches as u64)
-        .field_uint("batch_edges", r.config.batch_edges as u64)
-        .field_uint("reads_per_round", r.config.reads_per_round as u64)
-        .field_uint("server_threads", r.config.server_threads as u64)
-        .field_uint("theta", r.config.theta as u64)
-        .field_uint("k", r.config.k as u64)
-        .end_object()
-        .key("reads")
-        .begin_object()
-        .field_uint("requests", r.reads.requests as u64)
-        .field_uint("errors", r.reads.errors as u64)
-        .field_float("throughput_rps", round3(r.reads.throughput_rps))
-        .field_float("p50_ms", round3(r.reads.p50_ms))
-        .field_float("p99_ms", round3(r.reads.p99_ms))
-        .end_object()
-        .key("updates")
-        .begin_object()
-        .field_uint("applied", r.updates as u64)
-        .field_uint("errors", r.update_errors as u64)
-        .field_float("p50_ms", round3(r.update_p50_ms))
-        .field_float("p99_ms", round3(r.update_p99_ms))
-        .field_uint("first_generation", r.first_generation)
-        .field_uint("last_generation", r.last_generation)
-        .field_bool("generations_monotone", r.generations_monotone)
-        .end_object()
-        .field_float(
-            "post_update_hit_recovery",
-            round3(r.post_update_hit_recovery),
-        )
-        .key("violations")
-        .begin_array();
-    for v in &r.violations {
-        w.string(v);
-    }
-    w.end_array().end_object();
-    let mut s = w.finish();
-    s.push('\n');
-    s
-}
-
-/// Batch-harness parameters (see [`run_batch`]).
-#[derive(Debug, Clone)]
-pub struct BatchConfig {
-    /// Server address.
-    pub addr: SocketAddr,
-    /// Members per batch (distinct `(algo, k)` combinations).
-    pub members: usize,
-    /// Measurement rounds (each round uses fresh seeds on both sides).
-    pub rounds: usize,
-    /// Reported in the JSON (the harness cannot observe it remotely).
-    pub server_threads: usize,
-    /// Dataset queried.
-    pub dataset: String,
-    /// Worlds per world stream.
-    pub theta: usize,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            addr: SocketAddr::from(([127, 0, 0, 1], 7878)),
-            members: 8,
-            rounds: 4,
-            server_threads: 4,
-            dataset: "karate".to_string(),
-            theta: 256,
-        }
-    }
-}
-
-/// Full batch-harness outcome (`BENCH_pr6.json`).
-#[derive(Debug, Clone)]
-pub struct BatchReport {
-    /// Configuration echo.
-    pub config: BatchConfig,
-    /// The sequential per-member `/query` side.
-    pub standalone: PhaseStats,
-    /// The `POST /batch` side (one request per round).
-    pub batch: PhaseStats,
-    /// Worlds materialized per member answer, standalone side (θ each).
-    pub standalone_worlds_per_member: f64,
-    /// Worlds materialized per member answer, batch side (θ / members).
-    pub batch_worlds_per_member: f64,
-    /// `standalone_worlds_per_member / batch_worlds_per_member` — the
-    /// amortization factor of the shared world stream.
-    pub amortization_ratio: f64,
-    /// Fraction of post-batch point queries answered `X-Cache: HIT` with
-    /// bytes embedded verbatim in the batch envelope.
-    pub followup_hit_rate: f64,
-    /// Hard failures: non-2xx anywhere, ratio below 2, follow-up misses,
-    /// or unexpected `computed` counts. Empty means `--check` holds.
-    pub violations: Vec<String>,
+    r.figure(
+        "first_generation",
+        generations.first().copied().unwrap_or(0) as f64,
+    );
+    r.figure(
+        "last_generation",
+        generations.last().copied().unwrap_or(0) as f64,
+    );
+    r.flag("generations_monotone", monotone);
+    r.figure(
+        "post_update_hit_recovery",
+        recovered as f64 / CHURN_ROUNDS as f64,
+    );
 }
 
 /// The `(algo, k)` of batch member `j`: k climbs from 2, every fourth
@@ -807,17 +626,17 @@ pub fn batch_member_spec(j: usize) -> (&'static str, usize) {
     (if j % 4 == 3 { "nds" } else { "mpds" }, j + 2)
 }
 
-/// Renders the `POST /batch` body for one harness round.
-pub fn batch_body(cfg: &BatchConfig, seed: u64) -> String {
-    use crate::json::JsonWriter;
+/// Renders the `POST /batch` body of `members` members over `load`'s
+/// dataset and θ.
+pub fn batch_body(load: &Load, members: usize, seed: u64) -> String {
     let mut w = JsonWriter::new();
     w.begin_object()
-        .field_str("dataset", &cfg.dataset)
-        .field_uint("theta", cfg.theta as u64)
+        .field_str("dataset", &load.dataset)
+        .field_uint("theta", load.theta as u64)
         .field_uint("seed", seed)
         .key("members")
         .begin_array();
-    for j in 0..cfg.members {
+    for j in 0..members {
         let (algo, k) = batch_member_spec(j);
         w.begin_object()
             .field_str("algo", algo)
@@ -828,27 +647,25 @@ pub fn batch_body(cfg: &BatchConfig, seed: u64) -> String {
     w.finish()
 }
 
-/// Runs the batch-amortization harness against `cfg.addr`.
-///
-/// Per round: (1) issue every member as a sequential standalone `/query`
-/// under one fresh seed and read the `worlds_sampled` delta off `/metrics`
-/// — that is the unamortized cost, θ worlds per member; (2) issue the same
-/// member set as one `POST /batch` under a different fresh seed — the
-/// shared stream must materialize θ worlds total; (3) re-issue every
-/// member as a point `/query` at the batch seed, which must be served
-/// `X-Cache: HIT` with bytes the batch envelope embeds verbatim.
-pub fn run_batch(cfg: &BatchConfig) -> BatchReport {
-    let mut violations = Vec::new();
-    let timeout = Duration::from_secs(120);
-    let worlds_now = |violations: &mut Vec<String>| -> u64 {
-        match http_get(cfg.addr, "/metrics", Duration::from_secs(10)) {
-            Ok(e) => scrape::json_uint(&String::from_utf8_lossy(&e.body), "worlds_sampled")
-                .unwrap_or_else(|| {
-                    violations.push("no worlds_sampled in /metrics".to_string());
-                    0
-                }),
-            Err(e) => {
-                violations.push(format!("could not read /metrics: {e}"));
+/// **batch** — `load.per_client` rounds, each (1) issuing the
+/// [`BATCH_MEMBERS`] members as sequential standalone `/query`s under one
+/// fresh seed (θ worlds per member off the `/metrics` `worlds_sampled`
+/// delta), (2) issuing the same members as one `POST /batch` under another
+/// fresh seed (θ worlds in total), and (3) re-issuing every member as a
+/// point query at the batch seed. Checks `computed` = members, an
+/// amortization ratio of at least 2, and every follow-up a HIT whose bytes
+/// the envelope embeds verbatim.
+pub fn batch(load: &Load, report: &mut Report) {
+    let mut r = report.scenario("batch");
+    let worlds_now = |r: &mut Scope| -> u64 {
+        let e = get(load.addr, "/metrics");
+        match scrape::json_uint(&e.text(), "worlds_sampled") {
+            Some(w) if e.ok() => w,
+            _ => {
+                r.violation(format!(
+                    "no worlds_sampled in /metrics (status {})",
+                    e.status
+                ));
                 0
             }
         }
@@ -857,395 +674,166 @@ pub fn run_batch(cfg: &BatchConfig) -> BatchReport {
         let (algo, k) = batch_member_spec(j);
         format!(
             "/query?dataset={}&theta={}&algo={algo}&k={k}&seed={seed}",
-            cfg.dataset, cfg.theta
+            load.dataset, load.theta
         )
     };
+    let (mut standalone, mut batches) = (Vec::new(), Vec::new());
+    let (mut standalone_worlds, mut batch_worlds) = (0u64, 0u64);
+    let (mut followups, mut followup_hits) = (0usize, 0usize);
 
-    let mut standalone_ex: Vec<Exchange> = Vec::new();
-    let mut batch_ex: Vec<Exchange> = Vec::new();
-    let mut standalone_elapsed = Duration::ZERO;
-    let mut batch_elapsed = Duration::ZERO;
-    let mut standalone_worlds = 0u64;
-    let mut batch_worlds = 0u64;
-    let mut followups = 0usize;
-    let mut followup_hits = 0usize;
-
-    for round in 0..cfg.rounds {
-        // Side 1 — standalone: every member its own full estimator run.
+    for round in 0..load.per_client {
         let seed = 30_000 + round as u64;
-        let w0 = worlds_now(&mut violations);
-        for j in 0..cfg.members {
-            match http_get(cfg.addr, &member_path(j, seed), timeout) {
-                Ok(e) => {
-                    standalone_elapsed += e.latency;
-                    standalone_ex.push(e);
-                }
-                Err(e) => violations.push(format!("round {round} member {j} standalone: {e}")),
-            }
+        let w0 = worlds_now(&mut r);
+        for j in 0..BATCH_MEMBERS {
+            standalone.push(get(load.addr, &member_path(j, seed)));
         }
-        let w1 = worlds_now(&mut violations);
+        let w1 = worlds_now(&mut r);
         standalone_worlds += w1.saturating_sub(w0);
 
-        // Side 2 — batch: the same member set over one shared stream.
         let seed = 60_000 + round as u64;
-        let body = batch_body(cfg, seed);
-        let envelope = match http_post(cfg.addr, "/batch", body.as_bytes(), timeout) {
-            Ok(e) => {
-                batch_elapsed += e.latency;
-                batch_ex.push(e.clone());
-                if !(200..300).contains(&e.status) {
-                    violations.push(format!(
-                        "round {round}: batch answered {}: {}",
-                        e.status,
-                        String::from_utf8_lossy(&e.body)
-                    ));
-                    continue;
-                }
-                String::from_utf8_lossy(&e.body).into_owned()
-            }
-            Err(e) => {
-                violations.push(format!("round {round}: batch failed: {e}"));
-                continue;
-            }
-        };
-        let w2 = worlds_now(&mut violations);
-        batch_worlds += w2.saturating_sub(w1);
-        if scrape::json_uint(&envelope, "computed") != Some(cfg.members as u64) {
-            violations.push(format!(
-                "round {round}: batch at a fresh seed should compute all {} members",
-                cfg.members
+        let body = batch_body(load, BATCH_MEMBERS, seed);
+        let e = post(load.addr, "/batch", body.as_bytes());
+        let (ok, envelope) = (e.ok(), e.text());
+        batches.push(e);
+        if !ok {
+            continue;
+        }
+        batch_worlds += worlds_now(&mut r).saturating_sub(w1);
+        if scrape::json_uint(&envelope, "computed") != Some(BATCH_MEMBERS as u64) {
+            r.violation(format!(
+                "round {round}: batch at a fresh seed should compute all {BATCH_MEMBERS} members"
             ));
         }
-
-        // Side 3 — follow-up point queries must hit the batch-filled cache
-        // and return exactly the bytes the envelope embeds.
-        for j in 0..cfg.members {
-            match http_get(cfg.addr, &member_path(j, seed), timeout) {
-                Ok(e) => {
-                    followups += 1;
-                    let body = String::from_utf8_lossy(&e.body).into_owned();
-                    if e.x_cache.as_deref() == Some("HIT") && envelope.contains(&body) {
-                        followup_hits += 1;
-                    } else {
-                        violations.push(format!(
-                            "round {round} member {j}: follow-up was {:?}, embedded={}",
-                            e.x_cache,
-                            envelope.contains(&body)
-                        ));
-                    }
-                }
-                Err(e) => violations.push(format!("round {round} member {j} follow-up: {e}")),
+        for j in 0..BATCH_MEMBERS {
+            let e = get(load.addr, &member_path(j, seed));
+            followups += 1;
+            let embedded = envelope.contains(&e.text());
+            if e.hit() && embedded {
+                followup_hits += 1;
+            } else {
+                r.violation(format!(
+                    "round {round} member {j}: follow-up was {:?}, embedded={embedded}",
+                    e.x_cache
+                ));
             }
         }
     }
+    let sum = |ex: &[Exchange]| ex.iter().map(|e| e.latency).sum();
+    r.phase("standalone", &standalone, sum(&standalone));
+    r.phase("batch", &batches, sum(&batches));
 
-    let standalone = phase_stats(&standalone_ex, standalone_elapsed);
-    let batch = phase_stats(&batch_ex, batch_elapsed);
-    for (side, stats) in [("standalone", &standalone), ("batch", &batch)] {
-        if stats.errors > 0 {
-            violations.push(format!("{side}: {} non-2xx responses", stats.errors));
-        }
-    }
-
-    let answers = (cfg.rounds * cfg.members).max(1) as f64;
-    let standalone_worlds_per_member = standalone_worlds as f64 / answers;
-    let batch_worlds_per_member = batch_worlds as f64 / answers;
-    let amortization_ratio = if batch_worlds_per_member > 0.0 {
-        standalone_worlds_per_member / batch_worlds_per_member
+    let answers = (load.per_client * BATCH_MEMBERS).max(1) as f64;
+    let standalone_per_member = standalone_worlds as f64 / answers;
+    let batch_per_member = batch_worlds as f64 / answers;
+    let ratio = if batch_per_member > 0.0 {
+        standalone_per_member / batch_per_member
     } else {
         0.0
     };
-    if amortization_ratio < 2.0 {
-        violations.push(format!(
-            "amortization ratio {amortization_ratio:.3} below 2 \
-             ({standalone_worlds_per_member:.1} vs {batch_worlds_per_member:.1} worlds/member)"
+    if ratio < 2.0 {
+        r.violation(format!(
+            "amortization ratio {ratio:.3} below 2 \
+             ({standalone_per_member:.1} vs {batch_per_member:.1} worlds/member)"
         ));
     }
-    let followup_hit_rate = if followups == 0 {
-        violations.push("no follow-up point queries completed".to_string());
-        0.0
-    } else {
-        followup_hits as f64 / followups as f64
-    };
-
-    BatchReport {
-        config: cfg.clone(),
-        standalone,
-        batch,
-        standalone_worlds_per_member,
-        batch_worlds_per_member,
-        amortization_ratio,
-        followup_hit_rate,
-        violations,
+    if followups == 0 {
+        r.violation("no follow-up point queries completed");
     }
-}
-
-/// Serializes a batch report in the `BENCH_pr6.json` schema.
-pub fn render_batch_report(r: &BatchReport) -> String {
-    use crate::json::JsonWriter;
-    let mut w = JsonWriter::new();
-    w.begin_object()
-        .field_str("schema", "mpds-service/batch_harness/v1")
-        .field_str(
-            "note",
-            "batch amortization harness; latencies are machine-dependent, the checked \
-             invariants are zero non-2xx, worlds-per-member amortization ratio >= 2, \
-             and every post-batch point query a cache HIT embedded verbatim in the \
-             batch envelope",
-        )
-        .key("config")
-        .begin_object()
-        .field_str("dataset", &r.config.dataset)
-        .field_uint("members", r.config.members as u64)
-        .field_uint("rounds", r.config.rounds as u64)
-        .field_uint("server_threads", r.config.server_threads as u64)
-        .field_uint("theta", r.config.theta as u64)
-        .end_object()
-        .key("sides")
-        .begin_array();
-    for (name, p) in [("standalone", &r.standalone), ("batch", &r.batch)] {
-        w.begin_object()
-            .field_str("name", name)
-            .field_uint("requests", p.requests as u64)
-            .field_uint("errors", p.errors as u64)
-            .field_float("p50_ms", round3(p.p50_ms))
-            .field_float("p99_ms", round3(p.p99_ms))
-            .end_object();
-    }
-    w.end_array()
-        .field_float(
-            "standalone_worlds_per_member",
-            round3(r.standalone_worlds_per_member),
-        )
-        .field_float("batch_worlds_per_member", round3(r.batch_worlds_per_member))
-        .field_float("amortization_ratio", round3(r.amortization_ratio))
-        .field_float("followup_hit_rate", round3(r.followup_hit_rate))
-        .key("violations")
-        .begin_array();
-    for v in &r.violations {
-        w.string(v);
-    }
-    w.end_array().end_object();
-    let mut s = w.finish();
-    s.push('\n');
-    s
-}
-
-/// Anytime-harness parameters (see [`run_anytime`]).
-#[derive(Debug, Clone)]
-pub struct AnytimeConfig {
-    /// Server address.
-    pub addr: SocketAddr,
-    /// Concurrent client threads per phase.
-    pub clients: usize,
-    /// Cold queries per client per phase (distinct seeds throughout).
-    pub queries_per_client: usize,
-    /// Reported in the JSON (the harness cannot observe it remotely).
-    pub server_threads: usize,
-    /// Dataset queried.
-    pub dataset: String,
-    /// Worlds per query (`Stop::Stable`'s `theta_cap`, so also the fixed
-    /// phase's full cost — the two phases answer the same question).
-    pub theta: usize,
-    /// Result count per query.
-    pub k: usize,
-    /// `stop=stable` window for the stable phase.
-    pub window: u32,
-    /// Budget for the tight-budget phase, milliseconds (deliberately far
-    /// below the cold compute time, so truncation actually happens).
-    pub budget_ms: u64,
-}
-
-impl Default for AnytimeConfig {
-    fn default() -> Self {
-        AnytimeConfig {
-            addr: SocketAddr::from(([127, 0, 0, 1], 7878)),
-            clients: 8,
-            queries_per_client: 4,
-            server_threads: 4,
-            dataset: "karate".to_string(),
-            theta: 1024,
-            k: 3,
-            window: 64,
-            budget_ms: 10,
-        }
-    }
-}
-
-/// Full anytime-harness outcome (`BENCH_pr7.json`).
-#[derive(Debug, Clone)]
-pub struct AnytimeReport {
-    /// Configuration echo.
-    pub config: AnytimeConfig,
-    /// Phase 1 — cold fixed-θ queries (distinct seeds).
-    pub fixed: PhaseStats,
-    /// Phase 2 — cold `stop=stable` queries (fresh seeds, same θ cap).
-    pub stable: PhaseStats,
-    /// Phase 3 — cold `budget_ms` queries (fresh seeds again).
-    pub budget: PhaseStats,
-    /// `fixed.p50_ms / stable.p50_ms` — the early-stop speedup on the cold
-    /// path (must exceed 1).
-    pub stable_speedup: f64,
-    /// Budget-phase bodies that actually reported `stop_reason: "budget"`.
-    pub budget_truncated: usize,
-    /// Budget-phase responses with status 504 (must be zero — the whole
-    /// point of graceful budgets).
-    pub budget_504s: usize,
-    /// Unique budget-phase queries re-issued afterwards.
-    pub refined_followups: usize,
-    /// Of those, how many were eventually served `X-Cache: HIT` with a
-    /// non-budget `stop_reason` — the background tier republished a
-    /// converged answer under the same key.
-    pub refined_hits: usize,
-    /// Median wall time until a follow-up observed the refined body, ms.
-    pub refined_wait_p50_ms: f64,
-    /// Hard failures: any non-2xx anywhere (504s in the budget phase
-    /// especially), stable not faster than fixed, no actual truncation, or
-    /// follow-ups that never saw a refined answer. Empty means `--check`
-    /// holds.
-    pub violations: Vec<String>,
-}
-
-/// Runs the anytime harness against `cfg.addr`.
-///
-/// Four phases:
-///
-/// 1. **fixed** — cold fixed-θ queries at distinct seeds: the PR 3-style
-///    baseline cost of a full estimator run;
-/// 2. **stable** — the same shape with `stop=stable&window=W`: must be
-///    faster at the median, since the top-k stabilizes well before θ on
-///    real graphs;
-/// 3. **budget** — fresh seeds with a deliberately tiny `budget_ms`: every
-///    response must be a 200 carrying best-so-far results (zero 504s), and
-///    at least one must be genuinely budget-truncated;
-/// 4. **refined follow-up** — re-issue each budget-phase query and poll:
-///    because `budget_ms` is not part of the cache key, the background
-///    refinement tier must eventually republish a converged body under the
-///    same key, observable as `X-Cache: HIT` with a non-budget
-///    `stop_reason`.
-pub fn run_anytime(cfg: &AnytimeConfig) -> AnytimeReport {
-    let mut violations = Vec::new();
-    let per_client = cfg.queries_per_client.max(1);
-    let base = format!(
-        "/query?dataset={}&theta={}&k={}",
-        cfg.dataset, cfg.theta, cfg.k
+    r.figure("standalone_worlds_per_member", standalone_per_member);
+    r.figure("batch_worlds_per_member", batch_per_member);
+    r.figure("amortization_ratio", ratio);
+    r.figure(
+        "followup_hit_rate",
+        followup_hits as f64 / followups.max(1) as f64,
     );
-    let phase_cfg = HarnessConfig {
-        addr: cfg.addr,
-        clients: cfg.clients,
-        requests_per_client: per_client,
-        server_threads: cfg.server_threads,
-        dataset: cfg.dataset.clone(),
-        theta: cfg.theta,
-        k: cfg.k,
-    };
-    let seed_of = |block: u64, c: usize, i: usize| block + (c * per_client + i) as u64;
+}
 
-    // Phase 1 — fixed-θ cold baseline.
-    let (fixed_ex, fixed_elapsed) = run_phase(&phase_cfg, per_client, |c, i| {
+/// **anytime** — four phases at fresh seeds: (1) cold fixed-θ queries;
+/// (2) the same with `stop=stable&window=`[`STABLE_WINDOW`], which must be
+/// faster at the median; (3) `budget_ms=`[`BUDGET_MS`] queries, which must
+/// all answer 200 (zero 504s) with at least one budget-truncated body;
+/// (4) polling each budget query's identical URL (`budget_ms` is not part
+/// of the cache key) until the background refinement tier republishes a
+/// converged body under the same key, within 120 s in total.
+pub fn anytime(load: &Load, report: &mut Report) {
+    let mut r = report.scenario("anytime");
+    let base = load.query();
+    let per = load.per_client.max(1);
+    let seed_of = |block: u64, c: usize, i: usize| block + (c * per + i) as u64;
+
+    let (ex, elapsed) = run_phase(load, per, |c, i| {
         format!("{base}&seed={}", seed_of(40_000, c, i))
     });
-    let fixed = phase_stats(&fixed_ex, fixed_elapsed);
-
-    // Phase 2 — stable early-stop, fresh seeds so every request computes.
-    let (stable_ex, stable_elapsed) = run_phase(&phase_cfg, per_client, |c, i| {
+    let fixed = r.phase("fixed", &ex, elapsed);
+    let (ex, elapsed) = run_phase(load, per, |c, i| {
         format!(
-            "{base}&seed={}&stop=stable&window={}",
-            seed_of(50_000, c, i),
-            cfg.window
+            "{base}&seed={}&stop=stable&window={STABLE_WINDOW}",
+            seed_of(50_000, c, i)
         )
     });
-    let stable = phase_stats(&stable_ex, stable_elapsed);
-
-    // Phase 3 — tight budget, fresh seeds again.
+    let stable = r.phase("stable", &ex, elapsed);
     let budget_path = |c: usize, i: usize| {
         format!(
-            "{base}&seed={}&budget_ms={}",
-            seed_of(70_000, c, i),
-            cfg.budget_ms
+            "{base}&seed={}&budget_ms={BUDGET_MS}",
+            seed_of(70_000, c, i)
         )
     };
-    let (budget_ex, budget_elapsed) = run_phase(&phase_cfg, per_client, budget_path);
-    let budget = phase_stats(&budget_ex, budget_elapsed);
-    let budget_truncated = budget_ex
-        .iter()
-        .filter(|e| {
-            (200..300).contains(&e.status)
-                && String::from_utf8_lossy(&e.body).contains("\"stop_reason\":\"budget\"")
-        })
-        .count();
-    let budget_504s = budget_ex.iter().filter(|e| e.status == 504).count();
+    let (ex, elapsed) = run_phase(load, per, budget_path);
+    r.phase("budget", &ex, elapsed);
 
-    for (phase, stats) in [("fixed", &fixed), ("stable", &stable), ("budget", &budget)] {
-        if stats.errors > 0 {
-            violations.push(format!("{phase} phase: {} non-2xx responses", stats.errors));
-        }
-    }
-    if budget_504s > 0 {
-        violations.push(format!(
-            "budget phase: {budget_504s} responses were 504 — budgeted serving must degrade, not fail"
+    let truncated = ex
+        .iter()
+        .filter(|e| e.ok() && e.text().contains(BUDGET_MARK))
+        .count();
+    let gateway_timeouts = ex.iter().filter(|e| e.status == 504).count();
+    if gateway_timeouts > 0 {
+        r.violation(format!(
+            "budget: {gateway_timeouts} responses were 504 — budgeted serving must degrade, not fail"
         ));
     }
-    if budget_truncated == 0 {
-        violations.push(format!(
-            "budget phase: no response was budget-truncated at budget_ms={} — the gate proved nothing",
-            cfg.budget_ms
+    if truncated == 0 {
+        r.violation(format!(
+            "budget: no response was budget-truncated at budget_ms={BUDGET_MS} — the gate proved nothing"
         ));
     }
-    let stable_speedup = if stable.p50_ms > 0.0 {
+    let speedup = if stable.p50_ms > 0.0 {
         fixed.p50_ms / stable.p50_ms
     } else {
         0.0
     };
-    if stable_speedup <= 1.0 {
-        violations.push(format!(
+    if speedup <= 1.0 {
+        r.violation(format!(
             "stable p50 {:.3} ms not below fixed p50 {:.3} ms — early stop bought nothing",
             stable.p50_ms, fixed.p50_ms
         ));
     }
 
-    // Phase 4 — follow-up: each budget query must eventually HIT a refined
-    // (non-budget) body under the same cache key. Re-issuing the identical
-    // URL is deliberate: budget_ms is excluded from the key, so until the
-    // refinement tier republishes, polls HIT the truncated body. The
-    // deadline is generous because the server refines serially (one worker,
-    // so refinement cannot starve serving) — the whole backlog is
-    // one-full-run times the number of unique budget queries.
-    let refine_deadline = Instant::now() + Duration::from_secs(120);
-    let mut refined_hits = 0usize;
-    let mut refined_followups = 0usize;
-    let mut waits_ms: Vec<f64> = Vec::new();
-    'outer: for c in 0..cfg.clients {
-        for i in 0..per_client {
+    // The server refines serially on one worker (so refinement cannot
+    // starve serving), hence one generous deadline for the whole backlog.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let (mut followups, mut refined) = (0usize, 0usize);
+    let mut waits_ms = Vec::new();
+    'outer: for c in 0..load.clients {
+        for i in 0..per {
             let path = budget_path(c, i);
-            refined_followups += 1;
+            followups += 1;
             let started = Instant::now();
             loop {
-                match http_get(cfg.addr, &path, Duration::from_secs(30)) {
-                    Ok(e) if (200..300).contains(&e.status) => {
-                        let body = String::from_utf8_lossy(&e.body);
-                        if e.x_cache.as_deref() == Some("HIT")
-                            && !body.contains("\"stop_reason\":\"budget\"")
-                        {
-                            refined_hits += 1;
-                            waits_ms.push(started.elapsed().as_secs_f64() * 1e3);
-                            break;
-                        }
-                    }
-                    Ok(e) => {
-                        violations.push(format!(
-                            "follow-up {path}: status {} while polling for refinement",
-                            e.status
-                        ));
-                        break;
-                    }
-                    Err(e) => {
-                        violations.push(format!("follow-up {path}: {e}"));
-                        break;
-                    }
+                let e = get(load.addr, &path);
+                if !e.ok() {
+                    r.violation(format!(
+                        "follow-up {path}: status {} while polling for refinement",
+                        e.status
+                    ));
+                    break;
                 }
-                if Instant::now() >= refine_deadline {
-                    violations.push(format!(
+                if e.hit() && !e.text().contains(BUDGET_MARK) {
+                    refined += 1;
+                    waits_ms.push(started.elapsed().as_secs_f64() * 1e3);
+                    break;
+                }
+                if Instant::now() >= deadline {
+                    r.violation(format!(
                         "follow-up {path}: no refined body within the 120 s deadline"
                     ));
                     break 'outer;
@@ -1254,1350 +842,575 @@ pub fn run_anytime(cfg: &AnytimeConfig) -> AnytimeReport {
             }
         }
     }
-    if refined_hits < refined_followups {
-        violations.push(format!(
-            "only {refined_hits} of {refined_followups} budget queries were refined to convergence"
+    if refined < followups {
+        r.violation(format!(
+            "only {refined} of {followups} budget queries were refined to convergence"
         ));
     }
-    waits_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    waits_ms.sort_by(f64::total_cmp);
+    r.figure("stable_speedup", speedup);
+    r.figure("budget_truncated", truncated as f64);
+    r.figure("budget_504s", gateway_timeouts as f64);
+    r.figure("refined_followups", followups as f64);
+    r.figure("refined_hits", refined as f64);
+    r.figure("refined_wait_p50_ms", percentile(&waits_ms, 0.50));
+}
 
-    AnytimeReport {
-        config: cfg.clone(),
-        fixed,
-        stable,
-        budget,
-        stable_speedup,
-        budget_truncated,
-        budget_504s,
-        refined_followups,
-        refined_hits,
-        refined_wait_p50_ms: percentile(&waits_ms, 0.50),
-        violations,
+/// Scrapes `/metrics` as Prometheus text and reconstructs the cumulative
+/// 2xx `/query` latency histogram. Records a violation and returns an
+/// empty snapshot when the scrape fails or is not Prometheus text; a
+/// family with no samples yet is simply empty.
+fn scrape_query_hist(addr: SocketAddr, r: &mut Scope) -> HistogramSnapshot {
+    let e = get_prom_metrics(addr);
+    let text = e.text();
+    if !e.ok() {
+        r.violation(format!("/metrics scrape: status {} {text}", e.status));
+        return HistogramSnapshot::default();
     }
-}
-
-/// Serializes an anytime report in the `BENCH_pr7.json` schema.
-pub fn render_anytime_report(r: &AnytimeReport) -> String {
-    use crate::json::JsonWriter;
-    let mut w = JsonWriter::new();
-    w.begin_object()
-        .field_str("schema", "mpds-service/anytime_harness/v1")
-        .field_str(
-            "note",
-            "anytime-query harness; latencies are machine-dependent, the checked \
-             invariants are zero non-2xx (and zero 504s under budget_ms), stable \
-             cold p50 below fixed cold p50 at the same theta cap, at least one \
-             genuinely budget-truncated 200, and every budget query later served \
-             a refined (non-budget) body from cache under the same key",
-        )
-        .key("config")
-        .begin_object()
-        .field_str("dataset", &r.config.dataset)
-        .field_uint("clients", r.config.clients as u64)
-        .field_uint("queries_per_client", r.config.queries_per_client as u64)
-        .field_uint("server_threads", r.config.server_threads as u64)
-        .field_uint("theta", r.config.theta as u64)
-        .field_uint("k", r.config.k as u64)
-        .field_uint("window", r.config.window as u64)
-        .field_uint("budget_ms", r.config.budget_ms)
-        .end_object()
-        .key("phases")
-        .begin_array();
-    for (name, p) in [
-        ("fixed", &r.fixed),
-        ("stable", &r.stable),
-        ("budget", &r.budget),
-    ] {
-        w.begin_object()
-            .field_str("name", name)
-            .field_uint("requests", p.requests as u64)
-            .field_uint("errors", p.errors as u64)
-            .field_float("throughput_rps", round3(p.throughput_rps))
-            .field_float("p50_ms", round3(p.p50_ms))
-            .field_float("p99_ms", round3(p.p99_ms))
-            .end_object();
+    if !text.contains("# TYPE mpds_http_request_duration_microseconds histogram") {
+        r.violation("/metrics with Accept: text/plain did not return Prometheus text");
+        return HistogramSnapshot::default();
     }
-    w.end_array()
-        .field_float("stable_speedup", round3(r.stable_speedup))
-        .field_uint("budget_truncated", r.budget_truncated as u64)
-        .field_uint("budget_504s", r.budget_504s as u64)
-        .key("refined")
-        .begin_object()
-        .field_uint("followups", r.refined_followups as u64)
-        .field_uint("hits", r.refined_hits as u64)
-        .field_float("wait_p50_ms", round3(r.refined_wait_p50_ms))
-        .end_object()
-        .key("violations")
-        .begin_array();
-    for v in &r.violations {
-        w.string(v);
-    }
-    w.end_array().end_object();
-    let mut s = w.finish();
-    s.push('\n');
-    s
+    scrape::prom_histogram(
+        &text,
+        "mpds_http_request_duration_microseconds",
+        &[("endpoint", "query"), ("status", "2xx")],
+    )
+    .unwrap_or_default()
 }
 
-/// Observability-harness knobs (`mpds-load --obs`, `BENCH_pr8.json`).
-#[derive(Debug, Clone)]
-pub struct ObsConfig {
-    /// Server address.
-    pub addr: SocketAddr,
-    /// Concurrent client threads per phase.
-    pub clients: usize,
-    /// Queries per client per phase.
-    pub queries_per_client: usize,
-    /// Reported in the JSON (the harness cannot observe it remotely).
-    pub server_threads: usize,
-    /// Dataset queried.
-    pub dataset: String,
-    /// Worlds per query.
-    pub theta: usize,
-    /// Result count per query.
-    pub k: usize,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            addr: SocketAddr::from(([127, 0, 0, 1], 7878)),
-            clients: 8,
-            queries_per_client: 4,
-            server_threads: 4,
-            dataset: "karate".to_string(),
-            theta: 64,
-            k: 3,
-        }
-    }
-}
-
-/// Server-side latency figures reconstructed from one scraped histogram
-/// window.
-#[derive(Debug, Clone, Copy)]
-pub struct ServerSide {
-    /// Observations recorded by the server inside the window.
-    pub requests: u64,
-    /// Server-side median, milliseconds (log2-bucket interpolated).
-    pub p50_ms: f64,
-    /// Server-side p99, milliseconds (log2-bucket interpolated).
-    pub p99_ms: f64,
-}
-
-/// Full observability-harness outcome (`BENCH_pr8.json`).
-#[derive(Debug, Clone)]
-pub struct ObsReport {
-    /// Configuration echo.
-    pub config: ObsConfig,
-    /// Phase 1 — cold queries at distinct seeds (client-side timings).
-    pub cold: PhaseStats,
-    /// Phase 2 — one query repeated from every client (client-side timings).
-    pub repeat: PhaseStats,
-    /// Server-side view of the cold phase, from the scraped
-    /// `mpds_http_request_duration_microseconds{endpoint="query"}` window.
-    pub server_cold: ServerSide,
-    /// Server-side view of the repeat phase, same source.
-    pub server_repeat: ServerSide,
-    /// Whether the `?profile=1` probe returned a stage breakdown without
-    /// perturbing the cached body.
-    pub profile_ok: bool,
-    /// Hard failures: non-2xx responses, scrape failures, server-side
-    /// request counts that disagree with what the harness sent, server and
-    /// client percentiles outside the log2-quantization tolerance band, or
-    /// a broken `?profile=1` probe. Empty means `--check` holds.
-    pub violations: Vec<String>,
-}
-
-/// Scrapes `/metrics` in Prometheus text format and reconstructs the
-/// cumulative 2xx `/query` latency histogram. Returns an empty snapshot
-/// (recording the failure in `violations`) when the scrape or the parse
-/// fails, and an empty snapshot silently when the family simply has no
-/// samples yet (no `/query` traffic has been served).
-fn scrape_query_hist(addr: SocketAddr, violations: &mut Vec<String>) -> HistogramSnapshot {
-    match http_get_accept(addr, "/metrics", "text/plain", Duration::from_secs(10)) {
-        Ok(e) if (200..300).contains(&e.status) => {
-            let text = String::from_utf8_lossy(&e.body);
-            if !text.contains("# TYPE mpds_http_request_duration_microseconds histogram") {
-                violations.push(
-                    "/metrics with Accept: text/plain did not return Prometheus text".to_string(),
-                );
-                return HistogramSnapshot::default();
-            }
-            scrape::prom_histogram(
-                &text,
-                "mpds_http_request_duration_microseconds",
-                &[("endpoint", "query"), ("status", "2xx")],
-            )
-            .unwrap_or_default()
-        }
-        Ok(e) => {
-            violations.push(format!("/metrics scrape: status {}", e.status));
-            HistogramSnapshot::default()
-        }
-        Err(e) => {
-            violations.push(format!("/metrics scrape: {e}"));
-            HistogramSnapshot::default()
-        }
-    }
-}
-
-/// Converts one scraped histogram window (microsecond observations) to
-/// millisecond percentiles.
-fn server_side(win: &HistogramSnapshot) -> ServerSide {
-    ServerSide {
-        requests: win.count(),
-        p50_ms: win.quantile(0.50) / 1e3,
-        p99_ms: win.quantile(0.99) / 1e3,
-    }
-}
-
-/// Runs the observability harness against `cfg.addr`.
-///
-/// The harness drives the same cold/repeat shape as the PR 3 load harness
-/// but reads latency back from **both sides**: client-side wall times as
-/// before, plus server-side percentiles reconstructed from Prometheus
-/// `/metrics` scrapes bracketing each phase (the scrapes themselves land in
-/// the `endpoint="metrics"` series, so they never pollute the `/query`
-/// window). Checks:
-///
-/// * zero non-2xx responses in either phase;
-/// * the server-side cold window counts exactly the requests the harness
-///   sent (nothing lost, nothing double-counted);
-/// * server-side p50 within a `[0.25×, 4×]` band of client-side p50 plus a
-///   1 ms absolute slack — wide enough for log2 bucket quantization and
-///   connection overhead, tight enough to catch unit errors (µs read as ms
-///   is 1000× out);
-/// * a `?profile=1` probe of the repeat query returns a stage breakdown,
-///   and an unprofiled re-issue still serves the original cached bytes.
-pub fn run_obs(cfg: &ObsConfig) -> ObsReport {
-    let mut violations = Vec::new();
-    let per_client = cfg.queries_per_client.max(1);
-    let base = format!(
-        "/query?dataset={}&theta={}&k={}",
-        cfg.dataset, cfg.theta, cfg.k
-    );
-    let phase_cfg = HarnessConfig {
-        addr: cfg.addr,
-        clients: cfg.clients,
-        requests_per_client: per_client,
-        server_threads: cfg.server_threads,
-        dataset: cfg.dataset.clone(),
-        theta: cfg.theta,
-        k: cfg.k,
-    };
-
-    // Bracketing scrapes turn the cumulative histogram into per-phase
-    // windows.
-    let s0 = scrape_query_hist(cfg.addr, &mut violations);
-
-    // Phase 1 — cold queries, distinct seeds.
-    let (cold_ex, cold_elapsed) = run_phase(&phase_cfg, per_client, |c, i| {
-        format!("{base}&seed={}", 80_000 + (c * per_client + i) as u64)
+/// **obs** — the read scenario's cold/repeat shape, with Prometheus
+/// `/metrics` scrapes bracketing each phase (they land in the
+/// `endpoint="metrics"` series, so they never pollute the `/query`
+/// window). Checks that each server-side window counts exactly the
+/// requests sent, that server p50 lies within `[0.25×−1 ms, 4×+1 ms]` of
+/// client p50 (wide enough for log2 bucket quantization, tight enough to
+/// catch µs read as ms), and that a `?profile=1` probe of the cached
+/// repeat query returns a stage breakdown while the unprofiled re-issue
+/// still serves the original bytes.
+pub fn obs(load: &Load, report: &mut Report) {
+    let mut r = report.scenario("obs");
+    let base = load.query();
+    let per = load.per_client.max(1);
+    let s0 = scrape_query_hist(load.addr, &mut r);
+    let (ex, elapsed) = run_phase(load, per, |c, i| {
+        format!("{base}&seed={}", 80_000 + (c * per + i) as u64)
     });
-    let cold = phase_stats(&cold_ex, cold_elapsed);
-
-    let s1 = scrape_query_hist(cfg.addr, &mut violations);
-
-    // Phase 2 — every client repeats one query (cache hits after the first).
+    let cold = r.phase("cold", &ex, elapsed);
+    let s1 = scrape_query_hist(load.addr, &mut r);
     let repeat_path = format!("{base}&seed=4242");
-    let (repeat_ex, repeat_elapsed) = run_phase(&phase_cfg, per_client, |_, _| repeat_path.clone());
-    let repeat = phase_stats(&repeat_ex, repeat_elapsed);
+    let (ex, elapsed) = run_phase(load, per, |_, _| repeat_path.clone());
+    let repeat = r.phase("repeat", &ex, elapsed);
+    let s2 = scrape_query_hist(load.addr, &mut r);
 
-    let s2 = scrape_query_hist(cfg.addr, &mut violations);
-
-    let cold_win = s1.since(&s0);
-    let repeat_win = s2.since(&s1);
-    let server_cold = server_side(&cold_win);
-    let server_repeat = server_side(&repeat_win);
-
-    for (phase, stats) in [("cold", &cold), ("repeat", &repeat)] {
-        if stats.errors > 0 {
-            violations.push(format!("{phase} phase: {} non-2xx responses", stats.errors));
-        }
-    }
-    let sent = (cfg.clients * per_client) as u64;
-    if server_cold.requests != sent {
-        violations.push(format!(
-            "server-side cold window counted {} requests, harness sent {sent}",
-            server_cold.requests
-        ));
-    }
-    if server_repeat.requests != sent {
-        violations.push(format!(
-            "server-side repeat window counted {} requests, harness sent {sent}",
-            server_repeat.requests
-        ));
-    }
-    for (phase, client, server) in [
-        ("cold", &cold, &server_cold),
-        ("repeat", &repeat, &server_repeat),
+    let sent = (load.clients * per) as u64;
+    for (phase, client, window) in [
+        ("cold", &cold, s1.since(&s0)),
+        ("repeat", &repeat, s2.since(&s1)),
     ] {
-        // Server time is a subset of client time (no connect/read overhead)
-        // and log2-quantized; a generous multiplicative band plus 1 ms of
-        // absolute slack still catches unit errors outright.
-        let hi = client.p50_ms * 4.0 + 1.0;
-        let lo = (client.p50_ms * 0.25 - 1.0).max(0.0);
-        if server.p50_ms > hi || server.p50_ms < lo {
-            violations.push(format!(
-                "{phase} phase: server-side p50 {:.3} ms outside [{:.3}, {:.3}] band \
-                 around client-side p50 {:.3} ms",
-                server.p50_ms, lo, hi, client.p50_ms
+        let (requests, p50, p99) = (
+            window.count(),
+            window.quantile(0.50) / 1e3,
+            window.quantile(0.99) / 1e3,
+        );
+        if requests != sent {
+            r.violation(format!(
+                "server-side {phase} window counted {requests} requests, harness sent {sent}"
             ));
         }
-    }
-
-    // Profile probe: the repeat query is cached by now, so `?profile=1`
-    // must splice a stage breakdown into a fresh body while the cached
-    // bytes stay untouched.
-    let mut profile_ok = false;
-    let profiled_path = format!("{repeat_path}&profile=1");
-    match http_get(cfg.addr, &profiled_path, Duration::from_secs(30)) {
-        Ok(e) if (200..300).contains(&e.status) => {
-            let body = String::from_utf8_lossy(&e.body).into_owned();
-            if !body.contains("\"profile\":{") || !body.contains("\"stages\":{") {
-                violations.push("profile=1 response carries no stage breakdown".to_string());
-            } else {
-                match http_get(cfg.addr, &repeat_path, Duration::from_secs(30)) {
-                    Ok(after) if (200..300).contains(&after.status) => {
-                        let plain = String::from_utf8_lossy(&after.body).into_owned();
-                        if plain.contains("\"profile\":") {
-                            violations.push(
-                                "profile block leaked into the cached unprofiled body".to_string(),
-                            );
-                        } else {
-                            profile_ok = true;
-                        }
-                    }
-                    Ok(after) => {
-                        violations.push(format!("unprofiled re-issue: status {}", after.status))
-                    }
-                    Err(e) => violations.push(format!("unprofiled re-issue: {e}")),
-                }
-            }
+        let hi = client.p50_ms * 4.0 + 1.0;
+        let lo = (client.p50_ms * 0.25 - 1.0).max(0.0);
+        if p50 > hi || p50 < lo {
+            r.violation(format!(
+                "{phase}: server-side p50 {p50:.3} ms outside [{lo:.3}, {hi:.3}] band \
+                 around client-side p50 {:.3} ms",
+                client.p50_ms
+            ));
         }
-        Ok(e) => violations.push(format!("profile=1 probe: status {}", e.status)),
-        Err(e) => violations.push(format!("profile=1 probe: {e}")),
+        r.figure(&format!("server_{phase}_requests"), requests as f64);
+        r.figure(&format!("server_{phase}_p50_ms"), p50);
+        r.figure(&format!("server_{phase}_p99_ms"), p99);
     }
 
-    ObsReport {
-        config: cfg.clone(),
-        cold,
-        repeat,
-        server_cold,
-        server_repeat,
-        profile_ok,
-        violations,
-    }
-}
-
-/// Serializes an observability report in the `BENCH_pr8.json` schema.
-pub fn render_obs_report(r: &ObsReport) -> String {
-    use crate::json::JsonWriter;
-    let mut w = JsonWriter::new();
-    w.begin_object()
-        .field_str("schema", "mpds-service/obs_harness/v1")
-        .field_str(
-            "note",
-            "observability harness; latencies are machine-dependent, the checked \
-             invariants are zero non-2xx, server-side histogram windows counting \
-             exactly the requests sent, server-side p50 within a 4x/1ms band of \
-             client-side p50 (log2 bucket quantization tolerated, unit errors \
-             caught), and a profile=1 probe that returns stage timings without \
-             perturbing the cached body",
-        )
-        .key("config")
-        .begin_object()
-        .field_str("dataset", &r.config.dataset)
-        .field_uint("clients", r.config.clients as u64)
-        .field_uint("queries_per_client", r.config.queries_per_client as u64)
-        .field_uint("server_threads", r.config.server_threads as u64)
-        .field_uint("theta", r.config.theta as u64)
-        .field_uint("k", r.config.k as u64)
-        .end_object()
-        .key("phases")
-        .begin_array();
-    for (name, p, s) in [
-        ("cold", &r.cold, &r.server_cold),
-        ("repeat", &r.repeat, &r.server_repeat),
-    ] {
-        w.begin_object()
-            .field_str("name", name)
-            .field_uint("requests", p.requests as u64)
-            .field_uint("errors", p.errors as u64)
-            .field_float("throughput_rps", round3(p.throughput_rps))
-            .key("client")
-            .begin_object()
-            .field_float("p50_ms", round3(p.p50_ms))
-            .field_float("p99_ms", round3(p.p99_ms))
-            .end_object()
-            .key("server")
-            .begin_object()
-            .field_uint("requests", s.requests)
-            .field_float("p50_ms", round3(s.p50_ms))
-            .field_float("p99_ms", round3(s.p99_ms))
-            .end_object()
-            .end_object();
-    }
-    w.end_array()
-        .field_bool("profile_ok", r.profile_ok)
-        .key("violations")
-        .begin_array();
-    for v in &r.violations {
-        w.string(v);
-    }
-    w.end_array().end_object();
-    let mut s = w.finish();
-    s.push('\n');
-    s
-}
-
-/// Flight-recorder harness knobs (`mpds-load --flight`, `BENCH_pr10.json`).
-/// This harness is self-contained: it binds two in-process servers on
-/// ephemeral loopback ports — one with the flight recorder enabled, one
-/// with it disabled — and drives the identical workload against both, so
-/// the enabled/disabled throughput ratio is a same-run, same-machine
-/// measurement.
-#[derive(Debug, Clone)]
-pub struct FlightConfig {
-    /// Concurrent client threads per phase.
-    pub clients: usize,
-    /// Queries per client per phase (cold and repeat each issue this many).
-    pub queries_per_client: usize,
-    /// Worker threads per server.
-    pub server_threads: usize,
-    /// Dataset queried.
-    pub dataset: String,
-    /// Worlds per query.
-    pub theta: usize,
-    /// Result count per query.
-    pub k: usize,
-}
-
-impl Default for FlightConfig {
-    fn default() -> Self {
-        FlightConfig {
-            clients: 8,
-            queries_per_client: 16,
-            server_threads: 4,
-            dataset: "karate".to_string(),
-            theta: 64,
-            k: 3,
+    let profiled = get(load.addr, &format!("{repeat_path}&profile=1"));
+    let text = profiled.text();
+    let profile_ok = if !profiled.ok() {
+        r.violation(format!(
+            "profile=1 probe: status {} {text}",
+            profiled.status
+        ));
+        false
+    } else if !text.contains("\"profile\":{") || !text.contains("\"stages\":{") {
+        r.violation("profile=1 response carries no stage breakdown");
+        false
+    } else {
+        let plain = get(load.addr, &repeat_path);
+        if !plain.ok() {
+            r.violation(format!("unprofiled re-issue: status {}", plain.status));
+            false
+        } else if plain.text().contains("\"profile\":") {
+            r.violation("profile block leaked into the cached unprofiled body");
+            false
+        } else {
+            true
         }
-    }
+    };
+    r.flag("profile_ok", profile_ok);
 }
 
-/// One server's half of the flight harness (enabled or disabled recorder).
-#[derive(Debug, Clone)]
-pub struct FlightSide {
-    /// Cold phase — distinct seeds, every request computes.
-    pub cold: PhaseStats,
-    /// Repeat phase — one identical query, served from cache after the
-    /// first computation.
-    pub repeat: PhaseStats,
-    /// Total requests over total wall clock across both phases.
-    pub overall_rps: f64,
-}
-
-/// Full flight-recorder harness outcome (`BENCH_pr10.json`).
-#[derive(Debug, Clone)]
-pub struct FlightReport {
-    /// Configuration echo.
-    pub config: FlightConfig,
-    /// The flight-recorder-enabled server's phases.
-    pub enabled: FlightSide,
-    /// The flight-recorder-disabled server's phases.
-    pub disabled: FlightSide,
-    /// `enabled.overall_rps / disabled.overall_rps` — the overhead gate.
-    /// `--check` demands at least [`OVERHEAD_RATIO_FLOOR`].
-    pub overhead_ratio: f64,
-    /// Whether `GET /debug/requests` showed its own trace id in flight (the
-    /// debug request registers before it routes, so it must observe itself).
-    pub debug_requests_ok: bool,
-    /// Records retained in the slow-query ring after the load (the harness
-    /// runs the enabled server with a zero slow threshold, so every query
-    /// must have been promoted).
-    pub debug_slow_len: u64,
-    /// The histogram exemplar trace id (16 hex digits) that resolved via
-    /// `GET /debug/trace/<id>`; empty when none resolved.
-    pub exemplar_trace: String,
-    /// Whether an exemplar from the highest occupied `/metrics` latency
-    /// bucket resolved to a full per-stage breakdown.
-    pub exemplar_resolved: bool,
-    /// Hard failures: non-2xx responses, a debug endpoint not honoring its
-    /// contract, an unresolvable exemplar, or overhead past the gate. Empty
-    /// means `--check` holds.
-    pub violations: Vec<String>,
-}
-
-/// Minimum allowed `enabled/disabled` throughput ratio: the flight recorder
-/// may cost at most 5% under the harness workload.
-pub const OVERHEAD_RATIO_FLOOR: f64 = 0.95;
-
-/// Binds one in-process server over the builtin datasets for the flight
-/// harness. `slow_ms = 0` on both sides keeps the workload symmetric (the
-/// stderr slow echo fires identically) while guaranteeing the enabled
-/// side's slow ring actually exercises promotion.
-fn bind_flight_server(cfg: &FlightConfig, flight: bool) -> std::io::Result<crate::Server> {
+/// Binds one in-process server over the builtin datasets for [`flight`].
+/// `slow_ms = 0` on both sides keeps the workload symmetric (the stderr
+/// slow echo fires identically) while making the enabled side's slow ring
+/// exercise promotion.
+fn bind_flight_server(flight: bool) -> std::io::Result<crate::Server> {
     let engine = Arc::new(crate::QueryEngine::new(
         crate::GraphRegistry::with_builtins(),
         &crate::EngineConfig::default(),
     ));
-    let server_cfg = crate::ServerConfig {
-        threads: cfg.server_threads,
+    let cfg = crate::ServerConfig {
+        threads: SERVER_THREADS,
         slow_ms: Some(0),
         flight,
         ..crate::ServerConfig::default()
     };
-    crate::Server::bind("127.0.0.1:0", engine, &server_cfg)
+    crate::Server::bind("127.0.0.1:0", engine, &cfg)
 }
 
-/// Runs both measured phases against `addr` and returns the side summary.
-fn run_flight_side(cfg: &FlightConfig, addr: SocketAddr) -> FlightSide {
-    let per_client = cfg.queries_per_client.max(1);
-    let base = format!(
-        "/query?dataset={}&theta={}&k={}",
-        cfg.dataset, cfg.theta, cfg.k
-    );
-    let phase_cfg = HarnessConfig {
-        addr,
-        clients: cfg.clients,
-        requests_per_client: per_client,
-        server_threads: cfg.server_threads,
-        dataset: cfg.dataset.clone(),
-        theta: cfg.theta,
-        k: cfg.k,
-    };
-    // Untimed warmup so neither side pays one-time costs (lazy estimator
-    // paths, allocator growth) inside its measured window.
-    let _ = run_phase(&phase_cfg, 1, |c, _| format!("{base}&seed={}", 900_000 + c));
-    let (cold_ex, cold_elapsed) = run_phase(&phase_cfg, per_client, |c, i| {
-        format!("{base}&seed={}", 100_000 + (c * per_client + i) as u64)
-    });
-    let (repeat_ex, repeat_elapsed) =
-        run_phase(&phase_cfg, per_client, |_, _| format!("{base}&seed=7777"));
-    let total = (cold_ex.len() + repeat_ex.len()) as f64;
-    let elapsed = (cold_elapsed + repeat_elapsed).as_secs_f64().max(1e-9);
-    FlightSide {
-        cold: phase_stats(&cold_ex, cold_elapsed),
-        repeat: phase_stats(&repeat_ex, repeat_elapsed),
-        overall_rps: total / elapsed,
-    }
-}
-
-/// Runs the flight-recorder harness: two in-process servers (recorder
-/// enabled vs disabled), the same cold/repeat workload against both, and
-/// three end-to-end introspection checks against the enabled one:
-///
-/// * `GET /debug/requests` must list its own trace id as in flight (the
-///   request registers with the flight recorder before routing, so the
-///   snapshot it renders always contains itself — a deterministic "live
-///   requests are visible" probe);
-/// * `GET /debug/slow` must be non-empty — the harness runs with a zero
-///   slow threshold, so every query is promoted into the slow ring;
-/// * an exemplar trace id scraped off the highest occupied bucket of the
-///   Prometheus `/query` latency histogram must resolve through
-///   `GET /debug/trace/<id>` to a completed record with a non-empty
-///   per-stage breakdown.
-///
-/// The `--check` gate additionally demands zero non-2xx responses on both
-/// sides and an enabled/disabled overall-throughput ratio of at least
-/// [`OVERHEAD_RATIO_FLOOR`].
-pub fn run_flight(cfg: &FlightConfig) -> FlightReport {
-    let mut violations = Vec::new();
-
-    let mut enabled_server = match bind_flight_server(cfg, true) {
-        Ok(s) => s,
-        Err(e) => {
-            return flight_failure(cfg, format!("bind flight-enabled server: {e}"));
+/// **flight** — binds two in-process servers, flight recorder enabled and
+/// disabled, and runs the identical untimed warmup, cold and repeat
+/// phases against each, so the enabled/disabled throughput ratio is a
+/// same-run measurement gated at [`OVERHEAD_RATIO_FLOOR`]. Against the
+/// enabled server it also checks that `GET /debug/requests` lists its own
+/// trace id (the request registers before routing), that `GET /debug/slow`
+/// is non-empty under the zero slow threshold, and that a Prometheus
+/// histogram exemplar resolves through `GET /debug/trace/<id>` to a
+/// per-stage breakdown. `load.addr` is not used.
+pub fn flight(load: &Load, report: &mut Report) {
+    let mut r = report.scenario("flight");
+    let base = load.query();
+    let per = load.per_client.max(1);
+    let mut rps = [0.0f64; 2];
+    for (side, enabled) in [("enabled", true), ("disabled", false)] {
+        let mut server = match bind_flight_server(enabled) {
+            Ok(s) => s,
+            Err(e) => return r.violation(format!("bind flight-{side} server: {e}")),
+        };
+        let side_load = Load {
+            addr: server.local_addr(),
+            ..load.clone()
+        };
+        // Untimed warmup so neither side pays one-time costs (lazy
+        // estimator paths, allocator growth) inside its measured window.
+        run_phase(&side_load, 1, |c, _| format!("{base}&seed={}", 900_000 + c));
+        let (cold, cold_elapsed) = run_phase(&side_load, per, |c, i| {
+            format!("{base}&seed={}", 100_000 + (c * per + i) as u64)
+        });
+        let (repeat, repeat_elapsed) =
+            run_phase(&side_load, per, |_, _| format!("{base}&seed=7777"));
+        r.phase(&format!("{side}.cold"), &cold, cold_elapsed);
+        r.phase(&format!("{side}.repeat"), &repeat, repeat_elapsed);
+        rps[usize::from(!enabled)] = (cold.len() + repeat.len()) as f64
+            / (cold_elapsed + repeat_elapsed).as_secs_f64().max(1e-9);
+        if enabled {
+            // The repeat phase is the newest traffic, so its records
+            // cannot have been evicted from the rings yet.
+            probe_debug_endpoints(side_load.addr, &mut r);
         }
-    };
-    let enabled_addr = enabled_server.local_addr();
-    let enabled = run_flight_side(cfg, enabled_addr);
-
-    // Introspection probes run against the enabled server while its rings
-    // still hold the measured workload (the repeat phase is the newest
-    // traffic, so its records cannot have been evicted yet).
-    let timeout = Duration::from_secs(30);
-    let mut debug_requests_ok = false;
-    match http_get(enabled_addr, "/debug/requests", timeout) {
-        Ok(e) if e.status == 200 => match &e.trace_id {
-            Some(id) if String::from_utf8_lossy(&e.body).contains(id.as_str()) => {
-                debug_requests_ok = true;
-            }
-            Some(id) => violations.push(format!(
-                "/debug/requests did not list its own in-flight trace {id}"
-            )),
-            None => violations.push("/debug/requests response carried no X-Trace-Id".to_string()),
-        },
-        Ok(e) => violations.push(format!("/debug/requests: status {}", e.status)),
-        Err(e) => violations.push(format!("/debug/requests: {e}")),
+        server.shutdown();
     }
-
-    let mut debug_slow_len = 0u64;
-    match http_get(enabled_addr, "/debug/slow", timeout) {
-        Ok(e) if e.status == 200 => {
-            debug_slow_len = String::from_utf8_lossy(&e.body)
-                .matches("\"trace_id\"")
-                .count() as u64;
-            if debug_slow_len == 0 {
-                violations
-                    .push("/debug/slow is empty although the slow threshold was zero".to_string());
-            }
-        }
-        Ok(e) => violations.push(format!("/debug/slow: status {}", e.status)),
-        Err(e) => violations.push(format!("/debug/slow: {e}")),
-    }
-
-    let (exemplar_trace, exemplar_resolved) =
-        resolve_exemplar(enabled_addr, timeout, &mut violations);
-
-    enabled_server.shutdown();
-    drop(enabled_server);
-
-    let mut disabled_server = match bind_flight_server(cfg, false) {
-        Ok(s) => s,
-        Err(e) => {
-            return flight_failure(cfg, format!("bind flight-disabled server: {e}"));
-        }
-    };
-    let disabled = run_flight_side(cfg, disabled_server.local_addr());
-    disabled_server.shutdown();
-
-    for (side, stats) in [("enabled", &enabled), ("disabled", &disabled)] {
-        for (phase, p) in [("cold", &stats.cold), ("repeat", &stats.repeat)] {
-            if p.errors > 0 {
-                violations.push(format!(
-                    "{side} {phase} phase: {} non-2xx responses",
-                    p.errors
-                ));
-            }
-        }
-    }
-    let overhead_ratio = enabled.overall_rps / disabled.overall_rps.max(1e-9);
-    if overhead_ratio < OVERHEAD_RATIO_FLOOR {
-        violations.push(format!(
-            "flight-enabled throughput is {overhead_ratio:.3}x the disabled server's \
+    let ratio = rps[0] / rps[1].max(1e-9);
+    if ratio < OVERHEAD_RATIO_FLOOR {
+        r.violation(format!(
+            "flight-enabled throughput is {ratio:.3}x the disabled server's \
              (floor {OVERHEAD_RATIO_FLOOR})"
         ));
     }
-
-    FlightReport {
-        config: cfg.clone(),
-        enabled,
-        disabled,
-        overhead_ratio,
-        debug_requests_ok,
-        debug_slow_len,
-        exemplar_trace,
-        exemplar_resolved,
-        violations,
-    }
+    r.figure("enabled_rps", rps[0]);
+    r.figure("disabled_rps", rps[1]);
+    r.figure("overhead_ratio", ratio);
 }
 
-/// Scrapes the enabled server's Prometheus text, walks the `/query` 2xx
-/// latency exemplars from the highest occupied bucket downward, and returns
-/// the first trace id that `GET /debug/trace/<id>` resolves to a record
-/// with a non-empty stage breakdown. Higher buckets first: the slowest
-/// requests are exactly the ones the flight recorder exists to explain.
-fn resolve_exemplar(
-    addr: SocketAddr,
-    timeout: Duration,
-    violations: &mut Vec<String>,
-) -> (String, bool) {
-    let text = match http_get_accept(addr, "/metrics", "text/plain", timeout) {
-        Ok(e) if (200..300).contains(&e.status) => String::from_utf8_lossy(&e.body).into_owned(),
-        Ok(e) => {
-            violations.push(format!("/metrics scrape: status {}", e.status));
-            return (String::new(), false);
-        }
-        Err(e) => {
-            violations.push(format!("/metrics scrape: {e}"));
-            return (String::new(), false);
-        }
-    };
+/// The three introspection checks of [`flight`].
+fn probe_debug_endpoints(addr: SocketAddr, r: &mut Scope) {
+    let e = get(addr, "/debug/requests");
+    let own = e
+        .trace_id
+        .as_deref()
+        .is_some_and(|id| e.text().contains(&format!("\"trace_id\":\"{id}\"")));
+    if !e.ok() || !own {
+        r.violation(format!(
+            "/debug/requests (status {}) did not list its own in-flight trace {:?}",
+            e.status, e.trace_id
+        ));
+    }
+    r.flag("debug_requests_ok", e.ok() && own);
+
+    let e = get(addr, "/debug/slow");
+    let text = e.text();
+    let slow = text.matches("\"trace_id\"").count();
+    if !e.ok() || !text.contains("\"slow\":[") || slow == 0 {
+        r.violation(format!(
+            "/debug/slow (status {}) is empty although the slow threshold was zero",
+            e.status
+        ));
+    }
+    r.figure("debug_slow_len", slow as f64);
+
+    let resolved = resolve_exemplar(addr, r);
+    r.flag("exemplar_resolved", resolved);
+}
+
+/// Walks the Prometheus `/query` 2xx latency exemplars from the highest
+/// occupied bucket downward (the slowest requests are the ones the flight
+/// recorder exists to explain) and reports whether one resolves through
+/// `GET /debug/trace/<id>` to a non-empty stage breakdown.
+fn resolve_exemplar(addr: SocketAddr, r: &mut Scope) -> bool {
+    let e = get_prom_metrics(addr);
+    if !e.ok() {
+        r.violation(format!("/metrics scrape: status {} {}", e.status, e.text()));
+        return false;
+    }
     let mut exemplars = scrape::prom_exemplars(
-        &text,
+        &e.text(),
         "mpds_http_request_duration_microseconds",
         &[("endpoint", "query"), ("status", "2xx")],
     );
-    if exemplars.is_empty() {
-        violations.push("no exemplars on the /query latency histogram".to_string());
-        return (String::new(), false);
-    }
     exemplars.sort_by_key(|(bucket, _)| std::cmp::Reverse(*bucket));
-    for (_, ex) in &exemplars {
-        let Some(id) = ex.trace_id() else { continue };
-        let hex = mpds_obs::flight::format_trace_id(id);
-        match http_get(addr, &format!("/debug/trace/{hex}"), timeout) {
-            Ok(e) if e.status == 200 => {
-                let body = String::from_utf8_lossy(&e.body);
-                if body.contains("\"stages\":{\"") {
-                    return (hex, true);
-                }
-            }
-            _ => {}
-        }
+    let resolved = exemplars
+        .iter()
+        .filter_map(|(_, ex)| ex.trace_id())
+        .any(|id| {
+            let hex = mpds_obs::flight::format_trace_id(id);
+            let e = get(addr, &format!("/debug/trace/{hex}"));
+            e.status == 200 && e.text().contains("\"stages\":{\"")
+        });
+    if !resolved {
+        r.violation(format!(
+            "none of the {} /query histogram exemplars resolved via /debug/trace/<id> \
+             to a stage breakdown",
+            exemplars.len()
+        ));
     }
-    violations.push(format!(
-        "none of the {} histogram exemplars resolved via /debug/trace/<id> to a \
-         stage breakdown",
-        exemplars.len()
-    ));
-    (String::new(), false)
+    resolved
 }
 
-/// A report for a harness run that could not even start (bind failure):
-/// zeroed stats plus the one fatal violation, so `--check` still fails
-/// loudly with a written report.
-fn flight_failure(cfg: &FlightConfig, violation: String) -> FlightReport {
-    let empty = PhaseStats {
-        requests: 0,
-        errors: 0,
-        throughput_rps: 0.0,
-        p50_ms: 0.0,
-        p99_ms: 0.0,
+/// **kill_recover** — spawns the `mpds-cli` binary that sits beside the
+/// running executable as `serve --mutable --data-dir` on `load.addr` over a
+/// fresh temporary data directory, applies [`ROUNDS_BEFORE_KILL`] churn
+/// batches, SIGKILLs it (no flush, no graceful shutdown), restarts it from
+/// the same directory, and applies [`ROUNDS_AFTER_RESTART`] more. Checks
+/// that the restarted server recovers the exact pre-kill generation, that
+/// the canonical read is byte-identical across the kill, and that the
+/// generations run 1, 2, … with no gap.
+pub fn kill_recover(load: &Load, report: &mut Report) {
+    let mut r = report.scenario("kill_recover");
+    let exe = std::env::current_exe().unwrap_or_default();
+    let bin = exe.with_file_name(format!("mpds-cli{}", std::env::consts::EXE_SUFFIX));
+    if !bin.is_file() {
+        return r.violation(format!(
+            "{} not found (build it with `cargo build --release -p mpds-service`)",
+            bin.display()
+        ));
+    }
+    let dir = std::env::temp_dir().join(format!("mpds-load-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    kill_recover_in(load, &bin, &dir, &mut r);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn kill_recover_in(load: &Load, bin: &Path, dir: &Path, r: &mut Scope) {
+    let query = format!("{}&seed=42", load.query());
+    let (mut updates, mut reads, mut generations) = (Vec::new(), Vec::new(), Vec::new());
+
+    let Some(mut child) = start_server(bin, dir, load.addr, Duration::from_secs(30), r) else {
+        return;
     };
-    let side = FlightSide {
-        cold: empty.clone(),
-        repeat: empty,
-        overall_rps: 0.0,
+    for round in 0..ROUNDS_BEFORE_KILL {
+        apply_round(load, round, &mut updates, &mut generations, r);
+    }
+    let pre_kill = generations.last().copied().unwrap_or(0);
+    // The canonical read at the pre-kill generation is the byte-identity
+    // baseline the recovered server must reproduce.
+    reads.push(get(load.addr, &query));
+    let _ = child.kill();
+    let _ = child.wait();
+
+    // Recovery wall time is respawn → healthy (checkpoint load and WAL
+    // replay happen before the listener binds).
+    let restarted = Instant::now();
+    let Some(mut child) = start_server(bin, dir, load.addr, Duration::from_secs(60), r) else {
+        return;
     };
-    FlightReport {
-        config: cfg.clone(),
-        enabled: side.clone(),
-        disabled: side,
-        overhead_ratio: 0.0,
-        debug_requests_ok: false,
-        debug_slow_len: 0,
-        exemplar_trace: String::new(),
-        exemplar_resolved: false,
-        violations: vec![violation],
+    r.figure("recovery_wall_ms", restarted.elapsed().as_secs_f64() * 1e3);
+    let (recovered, replayed, server_ms) = dataset_row(load.addr, &load.dataset, r);
+    if recovered != pre_kill {
+        r.violation(format!(
+            "recovered generation {recovered} != pre-kill generation {pre_kill}"
+        ));
     }
-}
-
-/// Serializes a flight report in the `BENCH_pr10.json` schema.
-pub fn render_flight_report(r: &FlightReport) -> String {
-    use crate::json::JsonWriter;
-    let mut w = JsonWriter::new();
-    w.begin_object()
-        .field_str("schema", "mpds-service/flight_harness/v1")
-        .field_str(
-            "note",
-            "flight-recorder harness; two in-process servers run the same \
-             workload with the recorder enabled and disabled, so the checked \
-             invariants are same-run: zero non-2xx on both sides, an \
-             enabled/disabled throughput ratio of at least 0.95, \
-             /debug/requests observing its own in-flight trace, a populated \
-             slow-query ring under a zero threshold, and a /metrics histogram \
-             exemplar resolving through /debug/trace/<id> to a per-stage \
-             breakdown",
-        )
-        .key("config")
-        .begin_object()
-        .field_str("dataset", &r.config.dataset)
-        .field_uint("clients", r.config.clients as u64)
-        .field_uint("queries_per_client", r.config.queries_per_client as u64)
-        .field_uint("server_threads", r.config.server_threads as u64)
-        .field_uint("theta", r.config.theta as u64)
-        .field_uint("k", r.config.k as u64)
-        .end_object()
-        .key("servers")
-        .begin_array();
-    for (name, side) in [("enabled", &r.enabled), ("disabled", &r.disabled)] {
-        w.begin_object()
-            .field_str("flight", name)
-            .field_float("overall_rps", round3(side.overall_rps))
-            .key("phases")
-            .begin_array();
-        for (phase, p) in [("cold", &side.cold), ("repeat", &side.repeat)] {
-            w.begin_object()
-                .field_str("name", phase)
-                .field_uint("requests", p.requests as u64)
-                .field_uint("errors", p.errors as u64)
-                .field_float("throughput_rps", round3(p.throughput_rps))
-                .field_float("p50_ms", round3(p.p50_ms))
-                .field_float("p99_ms", round3(p.p99_ms))
-                .end_object();
-        }
-        w.end_array().end_object();
+    reads.push(get(load.addr, &query));
+    let identical = reads[0].ok() && reads[1].ok() && reads[0].body == reads[1].body;
+    if !identical {
+        r.violation(format!(
+            "post-recovery read differs from the pre-kill read ({} vs {} bytes)",
+            reads[1].body.len(),
+            reads[0].body.len()
+        ));
     }
-    w.end_array()
-        .field_float("overhead_ratio", round3(r.overhead_ratio))
-        .field_bool("debug_requests_ok", r.debug_requests_ok)
-        .field_uint("debug_slow_len", r.debug_slow_len)
-        .field_str("exemplar_trace", &r.exemplar_trace)
-        .field_bool("exemplar_resolved", r.exemplar_resolved)
-        .key("violations")
-        .begin_array();
-    for v in &r.violations {
-        w.string(v);
+    for round in ROUNDS_BEFORE_KILL..ROUNDS_BEFORE_KILL + ROUNDS_AFTER_RESTART {
+        apply_round(load, round, &mut updates, &mut generations, r);
     }
-    w.end_array().end_object();
-    let mut s = w.finish();
-    s.push('\n');
-    s
-}
+    let _ = child.kill();
+    let _ = child.wait();
 
-/// Kill-recover harness knobs (`mpds-load --kill-recover`,
-/// `BENCH_pr9.json`). Unlike the other harnesses this one owns the server
-/// process: it spawns `server_bin serve --mutable --data-dir data_dir`,
-/// SIGKILLs it mid-churn, and restarts it from the same directory.
-#[derive(Debug, Clone)]
-pub struct KillRecoverConfig {
-    /// Path to the `mpds-cli` binary to spawn.
-    pub server_bin: String,
-    /// `--data-dir` shared by both server runs (the durability surface).
-    pub data_dir: String,
-    /// Listen address for both runs (also where the harness connects).
-    pub bind: String,
-    /// Resolved form of `bind`.
-    pub addr: SocketAddr,
-    /// Churn rounds applied before the SIGKILL.
-    pub rounds_before_kill: usize,
-    /// Churn rounds applied after the restart (generation continuity).
-    pub rounds_after_restart: usize,
-    /// Edges inserted per round (see [`churn_batch`]).
-    pub batch_edges: usize,
-    /// Worker threads passed to the spawned server.
-    pub server_threads: usize,
-    /// Dataset updated and queried (must be a builtin of the spawned CLI).
-    pub dataset: String,
-    /// Worlds per query.
-    pub theta: usize,
-    /// Result count per query.
-    pub k: usize,
-}
-
-impl Default for KillRecoverConfig {
-    fn default() -> Self {
-        KillRecoverConfig {
-            server_bin: "target/release/mpds-cli".to_string(),
-            data_dir: "target/mpds-data".to_string(),
-            bind: "127.0.0.1:7878".to_string(),
-            addr: SocketAddr::from(([127, 0, 0, 1], 7878)),
-            rounds_before_kill: 6,
-            rounds_after_restart: 4,
-            batch_edges: 16,
-            server_threads: 4,
-            dataset: "karate".to_string(),
-            theta: 64,
-            k: 3,
-        }
+    let sum = |ex: &[Exchange]| ex.iter().map(|e| e.latency).sum();
+    r.phase("updates", &updates, sum(&updates));
+    r.phase("reads", &reads, sum(&reads));
+    let expected: Vec<u64> = (1..=(ROUNDS_BEFORE_KILL + ROUNDS_AFTER_RESTART) as u64).collect();
+    let continuous = generations == expected;
+    if !continuous {
+        r.violation(format!(
+            "generations not continuous across the kill: {generations:?} (expected {expected:?})"
+        ));
     }
+    r.figure("pre_kill_generation", pre_kill as f64);
+    r.figure("recovered_generation", recovered as f64);
+    r.figure("replayed_records", replayed as f64);
+    r.figure("server_recovery_ms", server_ms as f64);
+    r.flag("reads_identical", identical);
+    r.flag("generations_continuous", continuous);
 }
 
-/// Full kill-recover outcome (`BENCH_pr9.json`).
-#[derive(Debug, Clone)]
-pub struct KillRecoverReport {
-    /// Configuration echo.
-    pub config: KillRecoverConfig,
-    /// Update batches applied before the SIGKILL.
-    pub updates_before: usize,
-    /// Update batches applied after the restart.
-    pub updates_after: usize,
-    /// Update responses with a non-2xx status, both runs.
-    pub update_errors: usize,
-    /// Median update latency across both runs, milliseconds.
-    pub update_p50_ms: f64,
-    /// Median canonical-read latency across both runs, milliseconds.
-    pub read_p50_ms: f64,
-    /// Generation acknowledged by the last pre-kill update.
-    pub pre_kill_generation: u64,
-    /// Generation the restarted server reported for the dataset.
-    pub recovered_generation: u64,
-    /// Wall time from respawn to a healthy `/healthz`, milliseconds
-    /// (includes checkpoint load + WAL replay).
-    pub recovery_wall_ms: f64,
-    /// WAL records the server reported replaying (`/datasets`).
-    pub replayed_records: u64,
-    /// Server-side recovery time for the dataset (`/datasets`), ms.
-    pub server_recovery_ms: u64,
-    /// Whether the canonical read after recovery returned bytes identical
-    /// to the read taken at the same generation before the kill.
-    pub reads_identical: bool,
-    /// Whether post-restart update generations continued exactly from the
-    /// pre-kill generation (first ack = pre_kill + 1, strictly monotone).
-    pub generations_continuous: bool,
-    /// Hard failures. Empty means the `--check` contract holds.
-    pub violations: Vec<String>,
-}
-
-/// Spawns `server_bin serve --mutable --data-dir ...` with output discarded.
-fn spawn_kill_recover_server(cfg: &KillRecoverConfig) -> std::io::Result<std::process::Child> {
-    std::process::Command::new(&cfg.server_bin)
-        .args([
-            "serve",
-            "--bind",
-            &cfg.bind,
-            "--threads",
-            &cfg.server_threads.to_string(),
-            "--mutable",
-            "--data-dir",
-            &cfg.data_dir,
-        ])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-}
-
-/// Reads the dataset's row out of `/datasets` (generation, replayed
-/// records, server-side recovery time). Zeros on any scrape failure, with
-/// the failure recorded in `violations`.
-fn scrape_dataset_row(
+/// Spawns `bin serve --mutable --data-dir dir` on `addr` with its output
+/// discarded and waits for it to answer `/healthz`.
+fn start_server(
+    bin: &Path,
+    dir: &Path,
     addr: SocketAddr,
-    dataset: &str,
-    violations: &mut Vec<String>,
-) -> (u64, u64, u64) {
-    let listing = match http_get(addr, "/datasets", Duration::from_secs(10)) {
-        Ok(e) if (200..300).contains(&e.status) => String::from_utf8_lossy(&e.body).into_owned(),
-        Ok(e) => {
-            violations.push(format!("/datasets scrape: status {}", e.status));
-            return (0, 0, 0);
-        }
+    budget: Duration,
+    r: &mut Scope,
+) -> Option<Child> {
+    let spawned = Command::new(bin)
+        .args(["serve", "--bind", &addr.to_string()])
+        .args(["--threads", &SERVER_THREADS.to_string()])
+        .args(["--mutable", "--data-dir"])
+        .arg(dir)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn();
+    let mut child = match spawned {
+        Ok(c) => c,
         Err(e) => {
-            violations.push(format!("/datasets scrape: {e}"));
-            return (0, 0, 0);
+            r.violation(format!("spawn {}: {e}", bin.display()));
+            return None;
         }
     };
-    let doc = match crate::json::JsonValue::parse(&listing) {
-        Ok(d) => d,
-        Err(e) => {
-            violations.push(format!("/datasets parse: {e}"));
-            return (0, 0, 0);
-        }
-    };
+    if let Err(e) = wait_until_healthy(addr, budget) {
+        r.violation(e);
+        let _ = child.kill();
+        let _ = child.wait();
+        return None;
+    }
+    Some(child)
+}
+
+/// Reads `dataset`'s `(generation, replayed_records, recovery_ms)` out of
+/// `/datasets`; zeros, with a violation, when the row is unreadable.
+fn dataset_row(addr: SocketAddr, dataset: &str, r: &mut Scope) -> (u64, u64, u64) {
+    let e = get(addr, "/datasets");
+    let doc = crate::json::JsonValue::parse(&e.text());
     let rows = doc
-        .get("datasets")
+        .as_ref()
         .ok()
-        .flatten()
-        .and_then(|v| v.as_array("datasets").ok());
-    let Some(rows) = rows else {
-        violations.push("/datasets has no datasets array".to_string());
-        return (0, 0, 0);
+        .and_then(|d| d.get("datasets").ok().flatten())
+        .and_then(|v| v.as_array("datasets").ok())
+        .unwrap_or_default();
+    let field = |row: &crate::json::JsonValue, key: &str| {
+        row.get(key).ok().flatten().and_then(|v| v.as_u64(key).ok())
     };
-    for row in rows {
-        let name = row
-            .get("name")
+    let row = rows.iter().find(|row| {
+        row.get("name")
             .ok()
             .flatten()
-            .and_then(|v| v.as_str("name").ok());
-        if name != Some(dataset) {
-            continue;
+            .and_then(|v| v.as_str("name").ok())
+            == Some(dataset)
+    });
+    match row {
+        Some(row) => (
+            field(row, "generation").unwrap_or(0),
+            field(row, "replayed_records").unwrap_or(0),
+            field(row, "recovery_ms").unwrap_or(0),
+        ),
+        None => {
+            r.violation(format!(
+                "/datasets (status {}) has no row for dataset {dataset:?}",
+                e.status
+            ));
+            (0, 0, 0)
         }
-        let uint = |key: &str| {
-            row.get(key)
-                .ok()
-                .flatten()
-                .and_then(|v| v.as_usize(key).ok())
-                .unwrap_or(0) as u64
-        };
-        return (
-            uint("generation"),
-            uint("replayed_records"),
-            uint("recovery_ms"),
-        );
     }
-    violations.push(format!("/datasets has no row for dataset {dataset:?}"));
-    (0, 0, 0)
-}
-
-/// Runs the kill-recover harness: spawn → churn → SIGKILL → restart from
-/// the same `--data-dir` → verify generation continuity and byte-identical
-/// reads → churn on.
-pub fn run_kill_recover(cfg: &KillRecoverConfig) -> KillRecoverReport {
-    let mut violations = Vec::new();
-    let timeout = Duration::from_secs(120);
-    let query_path = format!(
-        "/query?dataset={}&theta={}&k={}&seed=42",
-        cfg.dataset, cfg.theta, cfg.k
-    );
-    let update_path = format!("/update?dataset={}", cfg.dataset);
-    let mut update_latencies_ms: Vec<f64> = Vec::new();
-    let mut read_latencies_ms: Vec<f64> = Vec::new();
-    let mut update_errors = 0usize;
-    let mut generations: Vec<u64> = Vec::new();
-
-    let empty_report = |violations: Vec<String>| KillRecoverReport {
-        config: cfg.clone(),
-        updates_before: 0,
-        updates_after: 0,
-        update_errors: 0,
-        update_p50_ms: 0.0,
-        read_p50_ms: 0.0,
-        pre_kill_generation: 0,
-        recovered_generation: 0,
-        recovery_wall_ms: 0.0,
-        replayed_records: 0,
-        server_recovery_ms: 0,
-        reads_identical: false,
-        generations_continuous: false,
-        violations,
-    };
-
-    // Run 1 — spawn the server fresh on an empty (or reused) data dir.
-    let mut child = match spawn_kill_recover_server(cfg) {
-        Ok(c) => c,
-        Err(e) => {
-            violations.push(format!("spawn {}: {e}", cfg.server_bin));
-            return empty_report(violations);
-        }
-    };
-    if let Err(e) = wait_until_healthy(cfg.addr, Duration::from_secs(30)) {
-        violations.push(format!("run 1: {e}"));
-        let _ = child.kill();
-        let _ = child.wait();
-        return empty_report(violations);
-    }
-
-    let apply_round = |round: usize,
-                       update_latencies_ms: &mut Vec<f64>,
-                       update_errors: &mut usize,
-                       generations: &mut Vec<u64>,
-                       violations: &mut Vec<String>| {
-        let batch = churn_batch(round, cfg.batch_edges);
-        match http_post(cfg.addr, &update_path, batch.as_bytes(), timeout) {
-            Ok(e) => {
-                update_latencies_ms.push(e.latency.as_secs_f64() * 1e3);
-                if (200..300).contains(&e.status) {
-                    let body = String::from_utf8_lossy(&e.body).into_owned();
-                    match scrape::json_uint(&body, "generation") {
-                        Some(g) => generations.push(g),
-                        None => violations
-                            .push(format!("round {round}: no generation in update response")),
-                    }
-                } else {
-                    *update_errors += 1;
-                    violations.push(format!(
-                        "round {round}: update answered {}: {}",
-                        e.status,
-                        String::from_utf8_lossy(&e.body)
-                    ));
-                }
-            }
-            Err(e) => {
-                *update_errors += 1;
-                violations.push(format!("round {round}: update failed: {e}"));
-            }
-        }
-    };
-
-    for round in 0..cfg.rounds_before_kill {
-        apply_round(
-            round,
-            &mut update_latencies_ms,
-            &mut update_errors,
-            &mut generations,
-            &mut violations,
-        );
-    }
-    let pre_kill_generation = generations.last().copied().unwrap_or(0);
-
-    // Canonical read at the pre-crash generation — the byte-identity
-    // baseline the recovered server must reproduce.
-    let pre_kill_body = match http_get(cfg.addr, &query_path, timeout) {
-        Ok(e) if (200..300).contains(&e.status) => {
-            read_latencies_ms.push(e.latency.as_secs_f64() * 1e3);
-            Some(e.body)
-        }
-        Ok(e) => {
-            violations.push(format!("pre-kill read: status {}", e.status));
-            None
-        }
-        Err(e) => {
-            violations.push(format!("pre-kill read: {e}"));
-            None
-        }
-    };
-
-    // SIGKILL — no flush, no graceful shutdown. Every acknowledged batch
-    // must already be durable.
-    let _ = child.kill();
-    let _ = child.wait();
-
-    // Run 2 — restart from the same data dir; recovery wall time is
-    // respawn → healthy (checkpoint load + WAL replay happen before bind).
-    let restart_started = Instant::now();
-    let mut child = match spawn_kill_recover_server(cfg) {
-        Ok(c) => c,
-        Err(e) => {
-            violations.push(format!("respawn {}: {e}", cfg.server_bin));
-            return empty_report(violations);
-        }
-    };
-    if let Err(e) = wait_until_healthy(cfg.addr, Duration::from_secs(60)) {
-        violations.push(format!("run 2: {e}"));
-        let _ = child.kill();
-        let _ = child.wait();
-        return empty_report(violations);
-    }
-    let recovery_wall_ms = restart_started.elapsed().as_secs_f64() * 1e3;
-
-    let (recovered_generation, replayed_records, server_recovery_ms) =
-        scrape_dataset_row(cfg.addr, &cfg.dataset, &mut violations);
-    if recovered_generation != pre_kill_generation {
-        violations.push(format!(
-            "recovered generation {recovered_generation} != pre-kill generation {pre_kill_generation}"
-        ));
-    }
-
-    // The canonical read must be byte-identical across the crash: same
-    // generation, same graph, same deterministic estimator output.
-    let reads_identical = match (&pre_kill_body, http_get(cfg.addr, &query_path, timeout)) {
-        (Some(before), Ok(e)) if (200..300).contains(&e.status) => {
-            read_latencies_ms.push(e.latency.as_secs_f64() * 1e3);
-            if &e.body == before {
-                true
-            } else {
-                violations.push(format!(
-                    "post-recovery read differs from pre-kill read ({} vs {} bytes)",
-                    e.body.len(),
-                    before.len()
-                ));
-                false
-            }
-        }
-        (_, Ok(e)) => {
-            violations.push(format!("post-recovery read: status {}", e.status));
-            false
-        }
-        (_, Err(e)) => {
-            violations.push(format!("post-recovery read: {e}"));
-            false
-        }
-    };
-
-    // Run 2 churn: generations must continue exactly where run 1 stopped.
-    for round in cfg.rounds_before_kill..cfg.rounds_before_kill + cfg.rounds_after_restart {
-        apply_round(
-            round,
-            &mut update_latencies_ms,
-            &mut update_errors,
-            &mut generations,
-            &mut violations,
-        );
-    }
-    let _ = child.kill();
-    let _ = child.wait();
-
-    let expected: Vec<u64> =
-        (1..=(cfg.rounds_before_kill + cfg.rounds_after_restart) as u64).collect();
-    let generations_continuous = generations == expected;
-    if !generations_continuous {
-        violations.push(format!(
-            "generations not continuous across the crash: {generations:?} (expected {expected:?})"
-        ));
-    }
-
-    update_latencies_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    read_latencies_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    KillRecoverReport {
-        config: cfg.clone(),
-        updates_before: cfg.rounds_before_kill,
-        updates_after: cfg.rounds_after_restart,
-        update_errors,
-        update_p50_ms: percentile(&update_latencies_ms, 0.50),
-        read_p50_ms: percentile(&read_latencies_ms, 0.50),
-        pre_kill_generation,
-        recovered_generation,
-        recovery_wall_ms,
-        replayed_records,
-        server_recovery_ms,
-        reads_identical,
-        generations_continuous,
-        violations,
-    }
-}
-
-/// Serializes a kill-recover report in the `BENCH_pr9.json` schema.
-pub fn render_kill_recover_report(r: &KillRecoverReport) -> String {
-    use crate::json::JsonWriter;
-    let mut w = JsonWriter::new();
-    w.begin_object()
-        .field_str("schema", "mpds-service/kill_recover_harness/v1")
-        .field_str(
-            "note",
-            "kill-recover durability harness; latencies are machine-dependent, the \
-             checked invariants are zero non-2xx, the restarted server recovering \
-             the exact pre-SIGKILL generation, a byte-identical canonical read \
-             across the crash, and post-restart generations continuing without a \
-             gap",
-        )
-        .key("config")
-        .begin_object()
-        .field_str("dataset", &r.config.dataset)
-        .field_uint("rounds_before_kill", r.config.rounds_before_kill as u64)
-        .field_uint("rounds_after_restart", r.config.rounds_after_restart as u64)
-        .field_uint("batch_edges", r.config.batch_edges as u64)
-        .field_uint("server_threads", r.config.server_threads as u64)
-        .field_uint("theta", r.config.theta as u64)
-        .field_uint("k", r.config.k as u64)
-        .end_object()
-        .key("updates")
-        .begin_object()
-        .field_uint("before_kill", r.updates_before as u64)
-        .field_uint("after_restart", r.updates_after as u64)
-        .field_uint("errors", r.update_errors as u64)
-        .field_float("p50_ms", round3(r.update_p50_ms))
-        .end_object()
-        .field_float("read_p50_ms", round3(r.read_p50_ms))
-        .key("recovery")
-        .begin_object()
-        .field_uint("pre_kill_generation", r.pre_kill_generation)
-        .field_uint("recovered_generation", r.recovered_generation)
-        .field_float("wall_ms", round3(r.recovery_wall_ms))
-        .field_uint("replayed_records", r.replayed_records)
-        .field_uint("server_recovery_ms", r.server_recovery_ms)
-        .end_object()
-        .field_bool("reads_identical", r.reads_identical)
-        .field_bool("generations_continuous", r.generations_continuous)
-        .key("violations")
-        .begin_array();
-    for v in &r.violations {
-        w.string(v);
-    }
-    w.end_array().end_object();
-    let mut s = w.finish();
-    s.push('\n');
-    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn exchange(status: u16, ms: u64) -> Exchange {
+        Exchange {
+            status,
+            body: b"{}".to_vec(),
+            latency: Duration::from_millis(ms),
+            x_cache: None,
+            trace_id: None,
+        }
+    }
+
+    /// One scenario's rendering fixture: its name, phases and figures.
+    type Row = (
+        &'static str,
+        &'static [&'static str],
+        &'static [(&'static str, f64)],
+    );
+
+    const READ: Row = (
+        "read",
+        &["cold", "repeat"],
+        &[("repeat_cache_hit_rate", 0.99)],
+    );
+    const CHURN: Row = (
+        "churn",
+        &["reads", "updates"],
+        &[("last_generation", 8.0), ("generations_monotone", 1.0)],
+    );
+    const BATCH: Row = (
+        "batch",
+        &["standalone", "batch"],
+        &[("amortization_ratio", 8.0), ("followup_hit_rate", 1.0)],
+    );
+    const ANYTIME: Row = (
+        "anytime",
+        &["fixed", "stable", "budget"],
+        &[("stable_speedup", 4.0), ("budget_504s", 0.0)],
+    );
+    const OBS: Row = (
+        "obs",
+        &["cold", "repeat"],
+        &[("server_cold_p50_ms", 1.25), ("profile_ok", 1.0)],
+    );
+    const FLIGHT: Row = (
+        "flight",
+        &["enabled.cold", "disabled.cold"],
+        &[("overhead_ratio", 0.987), ("exemplar_resolved", 1.0)],
+    );
+    const KILL_RECOVER: Row = (
+        "kill_recover",
+        &["updates", "reads"],
+        &[("recovered_generation", 6.0), ("reads_identical", 1.0)],
+    );
+
+    /// Fills a report with `rows` (a 503 in each scenario's first phase),
+    /// renders it, and checks that every phase, figure and violation
+    /// appears under the one schema.
+    fn assert_renders(rows: &[Row]) -> Report {
+        let mut report = Report::default();
+        for &(scenario, phases, figures) in rows {
+            let mut s = report.scenario(scenario);
+            for (i, phase) in phases.iter().enumerate() {
+                let status = if i == 0 { 503 } else { 200 };
+                let p = s.phase(
+                    phase,
+                    &[exchange(200, 2), exchange(status, 4)],
+                    Duration::from_millis(8),
+                );
+                assert_eq!(p.name, format!("{scenario}.{phase}"));
+                assert_eq!((p.requests, p.errors), (2, usize::from(i == 0)));
+            }
+            for &(name, value) in figures {
+                s.figure(name, value);
+            }
+        }
+        let text = render(&report);
+        assert!(text.ends_with("}\n"));
+        let doc = crate::json::JsonValue::parse(&text).expect("report parses");
+        let schema = doc
+            .get("schema")
+            .unwrap()
+            .unwrap()
+            .as_str("schema")
+            .unwrap();
+        assert_eq!(schema, SCHEMA);
+        assert_eq!(
+            report.violations.len(),
+            rows.len(),
+            "{:?}",
+            report.violations
+        );
+        for &(scenario, phases, figures) in rows {
+            for phase in phases {
+                assert!(text.contains(&format!(
+                    "{{\"name\":\"{scenario}.{phase}\",\"requests\":2,"
+                )));
+            }
+            for &(name, value) in figures {
+                let key = format!("{scenario}.{name}");
+                assert_eq!(report.figure(&key), Some(value));
+                assert!(
+                    text.contains(&format!("\"{key}\":{value:?}")),
+                    "{key}: {text}"
+                );
+            }
+            let violation = format!(
+                "{scenario}: {}: 1 non-2xx responses (first: 503 {{}})",
+                phases[0]
+            );
+            assert!(report.violations.contains(&violation), "{violation}");
+            assert!(text.contains(&violation.replace('"', "\\\"")), "{text}");
+        }
+        report
+    }
+
     #[test]
-    fn kill_recover_report_renders_with_schema() {
-        let r = KillRecoverReport {
-            config: KillRecoverConfig::default(),
-            updates_before: 6,
-            updates_after: 4,
-            update_errors: 0,
-            update_p50_ms: 2.5,
-            read_p50_ms: 1.25,
-            pre_kill_generation: 6,
-            recovered_generation: 6,
-            recovery_wall_ms: 321.5,
-            replayed_records: 6,
-            server_recovery_ms: 12,
-            reads_identical: true,
-            generations_continuous: true,
-            violations: vec![],
-        };
-        let s = render_kill_recover_report(&r);
-        assert!(s.contains("\"schema\":\"mpds-service/kill_recover_harness/v1\""));
-        assert!(s.contains("\"pre_kill_generation\":6"));
-        assert!(s.contains("\"recovered_generation\":6"));
-        assert!(s.contains("\"replayed_records\":6"));
-        assert!(s.contains("\"reads_identical\":true"));
-        assert!(s.contains("\"generations_continuous\":true"));
-        assert!(s.ends_with("}\n"));
+    fn report_renders_with_schema() {
+        // All seven scenarios share one report and one schema.
+        let report = assert_renders(&[READ, CHURN, BATCH, ANYTIME, OBS, FLIGHT, KILL_RECOVER]);
+        assert_eq!(report.phase("read.repeat").unwrap().p50_ms, 4.0);
+        assert_eq!(report.phase("read.repeat").unwrap().throughput_rps, 250.0);
+        assert!(report.phase("read.nope").is_none());
+    }
+
+    #[test]
+    fn churn_report_renders_with_schema() {
+        assert_renders(&[CHURN]);
+    }
+
+    #[test]
+    fn batch_report_renders_with_schema() {
+        assert_renders(&[BATCH]);
     }
 
     #[test]
     fn anytime_report_renders_with_schema() {
-        let stats = PhaseStats {
-            requests: 32,
-            errors: 0,
-            throughput_rps: 10.0,
-            p50_ms: 100.0,
-            p99_ms: 200.0,
-        };
-        let r = AnytimeReport {
-            config: AnytimeConfig::default(),
-            fixed: stats.clone(),
-            stable: PhaseStats {
-                p50_ms: 25.0,
-                ..stats.clone()
-            },
-            budget: stats,
-            stable_speedup: 4.0,
-            budget_truncated: 30,
-            budget_504s: 0,
-            refined_followups: 32,
-            refined_hits: 32,
-            refined_wait_p50_ms: 180.5,
-            violations: vec![],
-        };
-        let s = render_anytime_report(&r);
-        assert!(s.contains("\"schema\":\"mpds-service/anytime_harness/v1\""));
-        assert!(s.contains("\"stable_speedup\":4.0"));
-        assert!(s.contains("\"budget_504s\":0"));
-        assert!(s.contains("\"refined\":{\"followups\":32,\"hits\":32"));
-        assert!(s.ends_with("}\n"));
+        assert_renders(&[ANYTIME]);
     }
 
     #[test]
     fn obs_report_renders_with_schema() {
-        let stats = PhaseStats {
-            requests: 32,
-            errors: 0,
-            throughput_rps: 10.0,
-            p50_ms: 1.5,
-            p99_ms: 9.25,
-        };
-        let server = ServerSide {
-            requests: 32,
-            p50_ms: 1.25,
-            p99_ms: 8.0,
-        };
-        let r = ObsReport {
-            config: ObsConfig::default(),
-            cold: stats.clone(),
-            repeat: stats,
-            server_cold: server,
-            server_repeat: server,
-            profile_ok: true,
-            violations: vec![],
-        };
-        let s = render_obs_report(&r);
-        assert!(s.contains("\"schema\":\"mpds-service/obs_harness/v1\""));
-        assert!(s.contains("\"client\":{\"p50_ms\":1.5,\"p99_ms\":9.25}"));
-        assert!(s.contains("\"server\":{\"requests\":32,\"p50_ms\":1.25,\"p99_ms\":8.0}"));
-        assert!(s.contains("\"profile_ok\":true"));
-        assert!(s.ends_with("}\n"));
+        assert_renders(&[OBS]);
     }
 
     #[test]
     fn flight_report_renders_with_schema() {
-        let stats = PhaseStats {
-            requests: 128,
-            errors: 0,
-            throughput_rps: 200.0,
-            p50_ms: 1.5,
-            p99_ms: 9.25,
-        };
-        let side = FlightSide {
-            cold: stats.clone(),
-            repeat: stats,
-            overall_rps: 250.125,
-        };
-        let r = FlightReport {
-            config: FlightConfig::default(),
-            enabled: side.clone(),
-            disabled: side,
-            overhead_ratio: 0.987,
-            debug_requests_ok: true,
-            debug_slow_len: 64,
-            exemplar_trace: "00000000000000ab".to_string(),
-            exemplar_resolved: true,
-            violations: vec![],
-        };
-        let s = render_flight_report(&r);
-        assert!(s.contains("\"schema\":\"mpds-service/flight_harness/v1\""));
-        assert!(s.contains("\"flight\":\"enabled\""));
-        assert!(s.contains("\"flight\":\"disabled\""));
-        assert!(s.contains("\"overall_rps\":250.125"));
-        assert!(s.contains("\"overhead_ratio\":0.987"));
-        assert!(s.contains("\"debug_requests_ok\":true"));
-        assert!(s.contains("\"debug_slow_len\":64"));
-        assert!(s.contains("\"exemplar_trace\":\"00000000000000ab\""));
-        assert!(s.contains("\"exemplar_resolved\":true"));
-        assert!(s.ends_with("}\n"));
-        crate::json::JsonValue::parse(&s).expect("flight report parses");
+        assert_renders(&[FLIGHT]);
+    }
+
+    #[test]
+    fn kill_recover_report_renders_with_schema() {
+        assert_renders(&[KILL_RECOVER]);
     }
 
     #[test]
     fn counter_scan_and_percentiles() {
-        // The counter scans now ride the shared mpds-obs parser; pin the
+        // The counter scans ride the shared mpds-obs parser; pin the
         // harness-visible behavior here too.
         let body = "{\"cache\":{\"hits\":12,\"misses\":3},\"coalesced\":4}";
         assert_eq!(scrape::json_uint(body, "hits"), Some(12));
@@ -2631,34 +1444,6 @@ mod tests {
     }
 
     #[test]
-    fn churn_report_renders_with_schema() {
-        let r = ChurnReport {
-            config: ChurnConfig::default(),
-            reads: PhaseStats {
-                requests: 10,
-                errors: 0,
-                throughput_rps: 50.0,
-                p50_ms: 1.0,
-                p99_ms: 2.0,
-            },
-            updates: 8,
-            update_errors: 0,
-            update_p50_ms: 3.5,
-            update_p99_ms: 4.25,
-            first_generation: 1,
-            last_generation: 8,
-            generations_monotone: true,
-            post_update_hit_recovery: 1.0,
-            violations: vec![],
-        };
-        let s = render_churn_report(&r);
-        assert!(s.contains("\"schema\":\"mpds-service/churn_harness/v1\""));
-        assert!(s.contains("\"generations_monotone\":true"));
-        assert!(s.contains("\"post_update_hit_recovery\":1.0"));
-        assert!(s.ends_with("}\n"));
-    }
-
-    #[test]
     fn batch_member_specs_are_distinct_cache_keys() {
         let specs: Vec<(&str, usize)> = (0..8).map(batch_member_spec).collect();
         let unique: std::collections::HashSet<&(&str, usize)> = specs.iter().collect();
@@ -2669,12 +1454,12 @@ mod tests {
 
     #[test]
     fn batch_body_is_deterministic_and_parseable() {
-        let cfg = BatchConfig {
-            members: 3,
-            ..Default::default()
+        let load = Load {
+            theta: 256,
+            ..Load::default()
         };
-        let body = batch_body(&cfg, 7);
-        assert_eq!(body, batch_body(&cfg, 7));
+        let body = batch_body(&load, 3, 7);
+        assert_eq!(body, batch_body(&load, 3, 7));
         assert!(body.starts_with("{\"dataset\":\"karate\",\"theta\":256,\"seed\":7,"));
         // The body must round-trip through the server's own parser.
         let doc = crate::json::JsonValue::parse(&body).unwrap();
@@ -2687,55 +1472,5 @@ mod tests {
                 .len(),
             3
         );
-    }
-
-    #[test]
-    fn batch_report_renders_with_schema() {
-        let stats = PhaseStats {
-            requests: 32,
-            errors: 0,
-            throughput_rps: 10.0,
-            p50_ms: 1.0,
-            p99_ms: 2.0,
-        };
-        let r = BatchReport {
-            config: BatchConfig::default(),
-            standalone: stats.clone(),
-            batch: stats,
-            standalone_worlds_per_member: 256.0,
-            batch_worlds_per_member: 32.0,
-            amortization_ratio: 8.0,
-            followup_hit_rate: 1.0,
-            violations: vec![],
-        };
-        let s = render_batch_report(&r);
-        assert!(s.contains("\"schema\":\"mpds-service/batch_harness/v1\""));
-        assert!(s.contains("\"amortization_ratio\":8.0"));
-        assert!(s.contains("\"followup_hit_rate\":1.0"));
-        assert!(s.ends_with("}\n"));
-    }
-
-    #[test]
-    fn report_renders_with_schema() {
-        let cfg = HarnessConfig::default();
-        let stats = PhaseStats {
-            requests: 10,
-            errors: 0,
-            throughput_rps: 123.4567,
-            p50_ms: 1.5,
-            p99_ms: 9.25,
-        };
-        let r = HarnessReport {
-            config: cfg,
-            cold: stats.clone(),
-            repeat: stats,
-            repeat_cache_hit_rate: 0.99,
-            violations: vec![],
-        };
-        let s = render_report(&r);
-        assert!(s.contains("\"schema\":\"mpds-service/load_harness/v1\""));
-        assert!(s.contains("\"throughput_rps\":123.457"));
-        assert!(s.contains("\"repeat_cache_hit_rate\":0.99"));
-        assert!(s.ends_with("}\n"));
     }
 }

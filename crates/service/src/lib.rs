@@ -34,10 +34,10 @@
 //!   plus snapshot checkpoints (`POST /admin/checkpoint`, `mpds-cli
 //!   checkpoint`), and boot replays checkpoint + WAL tail back to the
 //!   exact pre-crash generation;
-//! * [`harness`] — the loopback load + churn + batch + kill-recover
-//!   harnesses behind `BENCH_pr3.json` / `BENCH_pr5.json` /
-//!   `BENCH_pr6.json` / `BENCH_pr9.json` and the CI `service-smoke` /
-//!   `churn-smoke` / `batch-smoke` / `durability-smoke` jobs;
+//! * [`harness`] — the loopback load harness: seven scenarios (read,
+//!   churn, batch, anytime, obs, flight, kill-recover) writing one report
+//!   with one schema, run by `mpds-load` against servers it starts itself
+//!   (the CI `harness-smoke` job);
 //! * [`json`] — the byte-stable JSON writer everything serializes through
 //!   (the vendored serde is a no-op shim; determinism is asserted, not
 //!   hoped for).

@@ -5,8 +5,8 @@
 //! The crash is simulated by dropping the [`Server`] (and its registry)
 //! without any checkpoint or graceful flush — with fsync-on-commit the WAL
 //! already contains every acknowledged batch, so a drop and a SIGKILL leave
-//! the same on-disk state. The real-SIGKILL path is exercised by the CI
-//! `durability-smoke` job (`mpds-load --kill-recover`).
+//! the same on-disk state. The real-SIGKILL path is exercised by
+//! `mpds-load`'s `kill_recover` scenario.
 
 use mpds_service::harness::{churn_batch, http_get, http_post, Exchange};
 use mpds_service::{EngineConfig, GraphRegistry, QueryEngine, Server, ServerConfig};

@@ -2,7 +2,7 @@
 //! reader/writer consistency under concurrency.
 
 use mpds_service::engine::{QueryRequest, ResponseSource};
-use mpds_service::harness::{http_get, http_post, Exchange};
+use mpds_service::harness::{self, http_get, http_post, Exchange, Load, Report};
 use mpds_service::{EngineConfig, GraphRegistry, QueryEngine, Server, ServerConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -183,7 +183,7 @@ fn malformed_and_truncated_requests_are_handled() {
 
 #[test]
 fn churn_harness_runs_clean_against_mutable_server() {
-    // A miniature of the CI churn-smoke run: update batches interleaved
+    // A miniature of `mpds-load`'s churn scenario: update batches interleaved
     // with read bursts, every invariant checked.
     let engine = Arc::new(QueryEngine::new(
         GraphRegistry::with_builtins(),
@@ -199,35 +199,33 @@ fn churn_harness_runs_clean_against_mutable_server() {
         ..ServerConfig::default()
     };
     let server = Server::bind("127.0.0.1:0", engine, &cfg).expect("bind");
-    let ccfg = mpds_service::harness::ChurnConfig {
+    let load = Load {
         addr: server.local_addr(),
         clients: 4,
-        update_batches: 3,
-        batch_edges: 4,
-        reads_per_round: 3,
-        server_threads: 4,
-        dataset: "karate".to_string(),
+        per_client: 3,
         theta: 32,
-        k: 3,
+        ..Load::default()
     };
-    let report = mpds_service::harness::run_churn(&ccfg);
+    let mut report = Report::default();
+    harness::churn(&load, &mut report);
     assert!(
         report.violations.is_empty(),
         "violations: {:?}",
         report.violations
     );
-    assert!(report.generations_monotone);
-    assert_eq!(report.first_generation, 1);
-    assert_eq!(report.last_generation, 3);
-    assert_eq!(report.update_errors, 0);
-    assert_eq!(report.reads.errors, 0);
+    let figure = |name: &str| report.figure(&format!("churn.{name}")).unwrap();
+    assert_eq!(figure("generations_monotone"), 1.0);
+    assert_eq!(figure("first_generation"), 1.0);
+    assert_eq!(figure("last_generation"), harness::CHURN_ROUNDS as f64);
+    assert_eq!(report.phase("churn.updates").unwrap().errors, 0);
+    assert_eq!(report.phase("churn.reads").unwrap().errors, 0);
     assert!(
-        (report.post_update_hit_recovery - 1.0).abs() < 1e-9,
+        (figure("post_update_hit_recovery") - 1.0).abs() < 1e-9,
         "every round must MISS then HIT: {}",
-        report.post_update_hit_recovery
+        figure("post_update_hit_recovery")
     );
-    let rendered = mpds_service::harness::render_churn_report(&report);
-    assert!(rendered.contains("\"schema\":\"mpds-service/churn_harness/v1\""));
+    let rendered = harness::render(&report);
+    assert!(rendered.contains("\"schema\":\"mpds-service/load_report/v1\""));
 }
 
 /// The probability the writer assigns edge (0, 1) at generation `g` — the

@@ -1,9 +1,13 @@
 //! End-to-end loopback tests: a real server on an ephemeral port, real HTTP
 //! requests from client threads.
 
-use mpds_service::harness::{http_get, http_post, wait_until_healthy, Exchange};
+use mpds_service::harness::{
+    self, http_get, http_post, wait_until_healthy, Exchange, Load, Report,
+};
 use mpds_service::{EngineConfig, GraphRegistry, QueryEngine, Server, ServerConfig};
-use std::sync::Arc;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 fn start_server(engine_cfg: &EngineConfig, server_cfg: &ServerConfig) -> Server {
@@ -90,11 +94,37 @@ fn timeout_parameter_maps_to_504() {
     assert!(text.contains("deadline exceeded"), "{text}");
 }
 
+/// Connects, waits until every client of `connected` has connected, stays
+/// silent for `hold`, then sends a GET and returns the response status. The
+/// worker that dequeues this connection sits in its request read for the
+/// whole of `hold`, so the test, not the CPU, decides how long that worker
+/// is busy.
+fn get_after_silence(server: &Server, path: &str, connected: &Barrier, hold: Duration) -> u16 {
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("set read timeout");
+    connected.wait();
+    std::thread::sleep(hold);
+    let request = format!("GET {path} HTTP/1.1\r\nHost: loopback\r\nConnection: close\r\n\r\n");
+    stream.write_all(request.as_bytes()).expect("write");
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read");
+    raw.split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("bad response: {raw:?}"))
+}
+
 #[test]
 fn saturated_bounded_queue_answers_503() {
-    // 1 worker + queue bound 1: with one slow query computing and one
-    // queued, every further concurrent connection must be turned away with
-    // 503 at the admission gate.
+    // 1 worker + queue bound 1. Every client connects, and only once all
+    // have connected does the one-second silence before each query start:
+    // the first accepted connection holds the worker in its request read,
+    // the next waits in the one queue slot, and every further connection
+    // must be turned away with 503 at the admission gate. A shed
+    // connection gets its 503 once its request arrives (the rejection
+    // drains the head first, for up to 2 s).
     let server = start_server(
         &EngineConfig::default(),
         &ServerConfig {
@@ -103,16 +133,18 @@ fn saturated_bounded_queue_answers_503() {
             ..ServerConfig::default()
         },
     );
-    // Distinct seeds (and distinct thetas) so nothing coalesces: each
-    // accepted request is a real multi-second-ish computation.
+    // Distinct seeds so nothing coalesces; karate at a small theta keeps
+    // each served query cheap on any machine.
     let flood = 8;
-    let server_ref = &server;
+    let connected = Barrier::new(flood);
+    let hold = Duration::from_secs(1);
+    let (server_ref, connected) = (&server, &connected);
     let results: Vec<u16> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..flood)
             .map(|i| {
                 s.spawn(move || {
-                    let path = format!("/query?dataset=lastfm&theta=40&k=3&seed={}", 500 + i);
-                    get(server_ref, &path).status
+                    let path = format!("/query?dataset=karate&theta=8&k=3&seed={}", 500 + i);
+                    get_after_silence(server_ref, &path, connected, hold)
                 })
             })
             .collect();
@@ -139,8 +171,8 @@ fn saturated_bounded_queue_answers_503() {
 
 #[test]
 fn harness_runs_clean_against_adequately_provisioned_server() {
-    // A miniature version of the CI smoke run: enough queue for the client
-    // burst, 4 workers, cold + repeat phases, all invariants checked.
+    // A miniature of `mpds-load`'s read scenario: enough queue for the
+    // client burst, 4 workers, cold + repeat phases, all invariants checked.
     let server = start_server(
         &EngineConfig {
             cache_capacity: 512,
@@ -152,26 +184,25 @@ fn harness_runs_clean_against_adequately_provisioned_server() {
             ..ServerConfig::default()
         },
     );
-    let cfg = mpds_service::harness::HarnessConfig {
+    let load = Load {
         addr: server.local_addr(),
         clients: 8,
-        requests_per_client: 10,
-        server_threads: 4,
-        dataset: "karate".to_string(),
+        per_client: 5,
         theta: 32,
-        k: 3,
+        ..Load::default()
     };
-    let report = mpds_service::harness::run(&cfg);
+    let mut report = Report::default();
+    harness::read(&load, &mut report);
     assert!(
         report.violations.is_empty(),
         "violations: {:?}",
         report.violations
     );
-    assert_eq!(report.cold.requests, 8 * 5);
-    assert_eq!(report.repeat.requests, 8 * 5);
-    assert!(report.repeat_cache_hit_rate > 0.9);
-    let rendered = mpds_service::harness::render_report(&report);
-    assert!(rendered.contains("\"schema\":\"mpds-service/load_harness/v1\""));
+    assert_eq!(report.phase("read.cold").unwrap().requests, 8 * 5);
+    assert_eq!(report.phase("read.repeat").unwrap().requests, 8 * 5);
+    assert!(report.figure("read.repeat_cache_hit_rate").unwrap() > 0.9);
+    let rendered = harness::render(&report);
+    assert!(rendered.contains("\"schema\":\"mpds-service/load_report/v1\""));
 }
 
 #[test]
@@ -264,7 +295,7 @@ fn diff_endpoint_reports_no_change_against_itself() {
 
 #[test]
 fn batch_harness_runs_clean_and_measures_amortization() {
-    // Miniature of the CI batch-smoke run: the --check invariants must hold
+    // A miniature of `mpds-load`'s batch scenario: its invariants must hold
     // (zero non-2xx, ratio >= 2, follow-up HITs embedded in the envelope).
     let server = start_server(
         &EngineConfig {
@@ -277,27 +308,28 @@ fn batch_harness_runs_clean_and_measures_amortization() {
             ..ServerConfig::default()
         },
     );
-    let cfg = mpds_service::harness::BatchConfig {
+    let load = Load {
         addr: server.local_addr(),
-        members: 6,
-        rounds: 2,
-        server_threads: 4,
-        dataset: "karate".to_string(),
+        per_client: 2,
         theta: 64,
+        ..Load::default()
     };
-    let report = mpds_service::harness::run_batch(&cfg);
+    let mut report = Report::default();
+    harness::batch(&load, &mut report);
     assert!(
         report.violations.is_empty(),
         "violations: {:?}",
         report.violations
     );
-    // Loopback is exact: 6 members standalone = 6 theta, batched = theta.
-    assert_eq!(report.standalone_worlds_per_member, 64.0);
-    assert!((report.batch_worlds_per_member - 64.0 / 6.0).abs() < 1e-9);
-    assert!((report.amortization_ratio - 6.0).abs() < 1e-9);
-    assert_eq!(report.followup_hit_rate, 1.0);
-    let rendered = mpds_service::harness::render_batch_report(&report);
-    assert!(rendered.contains("\"schema\":\"mpds-service/batch_harness/v1\""));
+    // Loopback is exact: 8 members standalone = 8 theta, batched = theta.
+    let members = harness::BATCH_MEMBERS as f64;
+    let figure = |name: &str| report.figure(&format!("batch.{name}")).unwrap();
+    assert_eq!(figure("standalone_worlds_per_member"), 64.0);
+    assert!((figure("batch_worlds_per_member") - 64.0 / members).abs() < 1e-9);
+    assert!((figure("amortization_ratio") - members).abs() < 1e-9);
+    assert_eq!(figure("followup_hit_rate"), 1.0);
+    let rendered = harness::render(&report);
+    assert!(rendered.contains("\"schema\":\"mpds-service/load_report/v1\""));
 }
 
 #[test]

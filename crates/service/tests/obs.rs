@@ -3,7 +3,7 @@
 //! over real loopback HTTP.
 
 use mpds_obs::scrape;
-use mpds_service::harness::{http_get, http_get_accept, Exchange};
+use mpds_service::harness::{self, http_get, http_get_accept, Exchange, Load, Report};
 use mpds_service::{EngineConfig, GraphRegistry, QueryEngine, Server, ServerConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -454,7 +454,7 @@ fn update_traces_record_wal_and_fsync_stages() {
     )
     .expect("bind ephemeral port");
 
-    let e = mpds_service::harness::http_post(
+    let e = harness::http_post(
         server.local_addr(),
         "/update?dataset=karate",
         b"0 1 0.9\n",
@@ -581,39 +581,37 @@ fn slo_families_expose_targets_and_burn_rates() {
 
 #[test]
 fn flight_harness_mini_run_resolves_an_exemplar() {
-    // A miniature of the CI flight-smoke run. The throughput-ratio gate is
+    // A miniature of `mpds-load`'s flight scenario. The throughput-ratio gate is
     // meaningless at this sample size, so only non-throughput violations
     // count here.
-    let cfg = mpds_service::harness::FlightConfig {
+    let load = Load {
         clients: 2,
-        queries_per_client: 2,
-        server_threads: 2,
-        dataset: "karate".to_string(),
+        per_client: 2,
         theta: 32,
-        k: 3,
+        ..Load::default()
     };
-    let report = mpds_service::harness::run_flight(&cfg);
+    let mut report = Report::default();
+    harness::flight(&load, &mut report);
     let hard: Vec<&String> = report
         .violations
         .iter()
         .filter(|v| !v.contains("throughput"))
         .collect();
     assert!(hard.is_empty(), "violations: {hard:?}");
-    assert!(report.debug_requests_ok);
-    assert!(report.debug_slow_len >= 1);
-    assert!(report.exemplar_resolved, "{}", report.exemplar_trace);
-    assert_eq!(report.enabled.cold.errors + report.enabled.repeat.errors, 0);
-    assert_eq!(
-        report.disabled.cold.errors + report.disabled.repeat.errors,
-        0
-    );
-    let rendered = mpds_service::harness::render_flight_report(&report);
-    assert!(rendered.contains("\"schema\":\"mpds-service/flight_harness/v1\""));
+    let figure = |name: &str| report.figure(&format!("flight.{name}")).unwrap();
+    assert_eq!(figure("debug_requests_ok"), 1.0);
+    assert!(figure("debug_slow_len") >= 1.0);
+    assert_eq!(figure("exemplar_resolved"), 1.0);
+    let errors = |phase: &str| report.phase(&format!("flight.{phase}")).unwrap().errors;
+    assert_eq!(errors("enabled.cold") + errors("enabled.repeat"), 0);
+    assert_eq!(errors("disabled.cold") + errors("disabled.repeat"), 0);
+    let rendered = harness::render(&report);
+    assert!(rendered.contains("\"schema\":\"mpds-service/load_report/v1\""));
 }
 
 #[test]
 fn obs_harness_runs_clean_with_server_side_percentiles() {
-    // Miniature of the CI obs-smoke run: server-side histogram windows must
+    // A miniature of `mpds-load`'s obs scenario: server-side windows must
     // count exactly the traffic sent and agree with client-side timings.
     let server = start_server(
         &EngineConfig {
@@ -626,25 +624,25 @@ fn obs_harness_runs_clean_with_server_side_percentiles() {
             ..ServerConfig::default()
         },
     );
-    let cfg = mpds_service::harness::ObsConfig {
+    let load = Load {
         addr: server.local_addr(),
         clients: 4,
-        queries_per_client: 3,
-        server_threads: 4,
-        dataset: "karate".to_string(),
+        per_client: 3,
         theta: 32,
-        k: 3,
+        ..Load::default()
     };
-    let report = mpds_service::harness::run_obs(&cfg);
+    let mut report = Report::default();
+    harness::obs(&load, &mut report);
     assert!(
         report.violations.is_empty(),
         "violations: {:?}",
         report.violations
     );
-    assert_eq!(report.server_cold.requests, 12);
-    assert_eq!(report.server_repeat.requests, 12);
-    assert!(report.profile_ok);
-    assert!(report.server_cold.p50_ms > 0.0);
-    let rendered = mpds_service::harness::render_obs_report(&report);
-    assert!(rendered.contains("\"schema\":\"mpds-service/obs_harness/v1\""));
+    let figure = |name: &str| report.figure(&format!("obs.{name}")).unwrap();
+    assert_eq!(figure("server_cold_requests"), 12.0);
+    assert_eq!(figure("server_repeat_requests"), 12.0);
+    assert_eq!(figure("profile_ok"), 1.0);
+    assert!(figure("server_cold_p50_ms") > 0.0);
+    let rendered = harness::render(&report);
+    assert!(rendered.contains("\"schema\":\"mpds-service/load_report/v1\""));
 }
