@@ -18,7 +18,7 @@
 //! | [`Query::seed`] | the run's RNG seed — equal seeds mean equal results |
 //! | [`Query::heuristic`] | the core-based heuristic of §III-C |
 //! | [`Query::all_densest`] | the "all vs one densest per world" ablation (§VI-D) |
-//! | [`Query::exec`] | serial, or θ split across worker threads |
+//! | [`Query::exec`] | how many threads solve the worlds (never changes the result) |
 //! | [`Query::stop`] | termination policy: fixed θ, or the §VI-I "sample until the top-k stops changing" rule ([`Stop::Stable`]) |
 //! | [`Query::control`] | cooperative deadline / cancellation / graceful time budget ([`crate::control`]) |
 //! | [`Query::progress`] | per-world progress callback ([`ProgressSink`]) |
@@ -48,28 +48,31 @@
 //!
 //! # Determinism contract
 //!
-//! * `Exec::Serial` with sampler kind `K` and seed `s` draws exactly the
-//!   worlds of `K` seeded with `s` — bit-identical to
-//!   [`Query::run_with_sampler`] over `K::new(g, StdRng::seed_from_u64(s))`.
-//! * `Exec::Threads(n)` gives worker `w` sub-stream `w` of the root seed
-//!   ([`sampling::stream_seed`]), partial results merged in worker order. A
-//!   serial run and a 1-thread run therefore draw *different* (both
-//!   deterministic) world streams.
+//! A run's world stream is a pure function of `(sampler kind K, seed s)`:
+//! [`CHUNK`]-world chunks, chunk `j` drawn from
+//! [`SamplerKind::build_stream`]`(g, s, j)`. Chunk 0 is `K` seeded with `s`
+//! itself, so a run of θ ≤ [`CHUNK`] worlds is bit-identical to
+//! [`Query::run_with_sampler`] over `K::new(g, StdRng::seed_from_u64(s))`.
 //!
-//! Because the world stream depends only on `(sampler kind, seed)` — never
-//! on the estimator — many queries can share one stream: see
-//! [`queryset::QuerySet`] for batch evaluation that materializes each world
-//! once while staying bit-identical to standalone runs.
+//! * Any thread may draw and solve a chunk, but every world is counted on
+//!   the calling thread in stream order. `Exec::Threads(n)` is therefore
+//!   bit-identical to `Exec::Serial` for every `n`: top-k, candidates,
+//!   per-world counts, the one-densest pick, and where a
+//!   [`Stop::Stable`] or budgeted run stops.
+//! * The stream never depends on the estimator, so many queries can share
+//!   one: see [`queryset::QuerySet`] for batch evaluation that materializes
+//!   each world once while staying bit-identical to standalone runs.
 
 pub mod queryset;
 
 use crate::control::{Interrupted, RunControl};
-use crate::estimate::{densest_count_stats, select_top_k, top_k_sets, MpdsResult};
+use crate::estimate::{densest_count_stats, select_top_k, MpdsResult, TopK};
 use crate::nds::NdsResult;
 use densest::{
     all_densest, heuristic::heuristic_dense_subgraphs, max_sized_densest, DensityNotion,
 };
-use mpds_obs::Stage;
+use mpds_obs::{Recorder, Stage};
+use queryset::QuerySet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sampling::{stream_seed, LazyPropagation, MonteCarlo, RecursiveStratified, WorldSampler};
@@ -99,8 +102,8 @@ pub enum SamplerKind {
 }
 
 impl SamplerKind {
-    /// Builds the sampler seeded directly with `seed` — the serial-execution
-    /// seeding (see the module-level determinism contract).
+    /// Builds the sampler seeded directly with `seed` — the first
+    /// [`CHUNK`] worlds of every run with this seed.
     ///
     /// ```
     /// use mpds::api::SamplerKind;
@@ -122,9 +125,11 @@ impl SamplerKind {
         }
     }
 
-    /// Builds the sampler for sub-stream `stream` of `root_seed` — the
-    /// per-worker seeding of `Exec::Threads` ([`sampling::stream_seed`]
-    /// decorrelates every `(root, stream)` pair).
+    /// Builds the sampler for chunk `stream` of a run seeded with
+    /// `root_seed`: stream 0 is [`SamplerKind::build`]`(g, root_seed)`
+    /// itself, and stream `j ≥ 1` is seeded with
+    /// [`sampling::stream_seed`]`(root_seed, j)`, which decorrelates every
+    /// `(root, stream)` pair.
     ///
     /// ```
     /// use mpds::api::SamplerKind;
@@ -135,6 +140,8 @@ impl SamplerKind {
     /// let a = SamplerKind::MonteCarlo.build_stream(&g, 1, 0).next_mask();
     /// let b = SamplerKind::MonteCarlo.build_stream(&g, 1, 0).next_mask();
     /// assert_eq!(a, b); // reproducible per (root, stream)
+    /// let c = SamplerKind::MonteCarlo.build(&g, 1).next_mask();
+    /// assert_eq!(a, c); // stream 0 is the root seed itself
     /// ```
     pub fn build_stream(
         self,
@@ -142,7 +149,10 @@ impl SamplerKind {
         root_seed: u64,
         stream: u64,
     ) -> Box<dyn WorldSampler> {
-        self.build(g, stream_seed(root_seed, stream))
+        match stream {
+            0 => self.build(g, root_seed),
+            j => self.build(g, stream_seed(root_seed, j)),
+        }
     }
 
     /// Human-readable strategy name (`"MC"`, `"LP"`, `"RSS"`).
@@ -159,7 +169,9 @@ impl SamplerKind {
     }
 }
 
-/// How a [`Query`] executes its θ world samples.
+/// How many threads a [`Query`] uses to draw and solve its worlds. The
+/// result is the same either way (see the module-level determinism
+/// contract).
 ///
 /// ```
 /// use mpds::api::Exec;
@@ -168,12 +180,12 @@ impl SamplerKind {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Exec {
-    /// One thread samples all θ worlds (the paper's setup).
+    /// The calling thread does all the work (the paper's setup).
     #[default]
     Serial,
-    /// θ split across this many scoped worker threads, each drawing an
-    /// independent sub-stream of the root seed. Deterministic for a fixed
-    /// `(seed, thread count)` pair.
+    /// The calling thread plus up to this many minus one scoped helpers,
+    /// one per [`CHUNK`]-world chunk at most, each solving whole chunks
+    /// while the calling thread counts them in stream order.
     Threads(usize),
 }
 
@@ -195,8 +207,9 @@ pub enum Stop {
     /// `window` consecutive worlds (compared with
     /// [`ugraph::nodeset::set_family_similarity`] == 1.0), after at least
     /// `min_theta` worlds; give up and finish at `theta_cap` worlds if the
-    /// ranking never settles. [`Query::theta`] is ignored. Serial only: the
-    /// rule watches one ordered world stream.
+    /// ranking never settles. [`Query::theta`] is ignored. The rule watches
+    /// the worlds in stream order, so it stops at the same world under any
+    /// [`Exec`].
     Stable {
         /// Consecutive unchanged-top-k worlds required to stop.
         window: usize,
@@ -244,8 +257,9 @@ impl StopReason {
 /// hook a serving layer uses for live progress and a harness for reporting,
 /// without forking the sampling loop.
 ///
-/// Implementations must be `Send + Sync`: under [`Exec::Threads`] all
-/// workers share one sink.
+/// Implementations must be `Send + Sync`: one sink may be shared by runs on
+/// many threads (a server's engine-wide counter). Within a run the sink is
+/// told about each world on the calling thread, in stream order.
 ///
 /// ```
 /// use mpds::api::ProgressSink;
@@ -379,13 +393,6 @@ pub enum ApiError {
         /// Human-readable description of the violation.
         message: String,
     },
-    /// The requested combination is not supported (e.g. the one-densest
-    /// ablation under `Exec::Threads`, whose tie-breaking RNG is a single
-    /// serial stream).
-    Unsupported {
-        /// Human-readable description of the unsupported combination.
-        message: String,
-    },
     /// The run's [`RunControl`] deadline passed or its cancellation flag was
     /// raised before all θ worlds were sampled.
     Interrupted(Interrupted),
@@ -397,7 +404,6 @@ impl std::fmt::Display for ApiError {
             ApiError::InvalidParameter { param, message } => {
                 write!(f, "invalid {param}: {message}")
             }
-            ApiError::Unsupported { message } => write!(f, "unsupported: {message}"),
             ApiError::Interrupted(i) => write!(f, "{i}"),
         }
     }
@@ -754,7 +760,7 @@ impl Query {
     }
 
     /// Sets the run's RNG seed (default 42). Equal seeds ⇒ equal worlds ⇒
-    /// equal results, per execution mode (see the module docs).
+    /// equal results, under every [`Exec`] (see the module docs).
     ///
     /// ```
     /// use densest::DensityNotion;
@@ -850,8 +856,8 @@ impl Query {
         self
     }
 
-    /// Chooses serial or multi-threaded execution (default
-    /// [`Exec::Serial`]).
+    /// Chooses how many threads solve the worlds (default
+    /// [`Exec::Serial`]). The result does not depend on it.
     ///
     /// ```
     /// use densest::DensityNotion;
@@ -913,8 +919,8 @@ impl Query {
         self
     }
 
-    /// Attaches a [`ProgressSink`], notified once per sampled world
-    /// (default: none). Under [`Exec::Threads`] all workers share the sink.
+    /// Attaches a [`ProgressSink`], notified once per sampled world, in
+    /// stream order on the calling thread (default: none).
     ///
     /// ```
     /// use densest::DensityNotion;
@@ -957,37 +963,16 @@ impl Query {
                     format!("Stable min_theta {min_theta} exceeds theta_cap {theta_cap}"),
                 );
             }
-            if let Exec::Threads(_) = self.exec {
-                return Err(ApiError::Unsupported {
-                    message: "Stop::Stable watches one ordered world stream; \
-                              run it with Exec::Serial"
-                        .to_string(),
-                });
-            }
         }
-        if let Exec::Threads(workers) = self.exec {
-            if workers == 0 {
-                return invalid("exec", "Threads(0) has no workers".to_string());
-            }
-            if self.theta < workers {
-                return invalid(
-                    "exec",
-                    format!("theta {} < {workers} worker threads", self.theta),
-                );
-            }
-            if self.kind == Kind::Mpds && !self.all_densest {
-                return Err(ApiError::Unsupported {
-                    message: "the one-densest-per-world ablation draws from a single \
-                              serial tie-breaking RNG stream; run it with Exec::Serial"
-                        .to_string(),
-                });
-            }
+        if self.exec == Exec::Threads(0) {
+            return invalid("exec", "Threads(0) has no workers".to_string());
         }
         Ok(())
     }
 
-    /// Validates, resolves the execution plan, and runs the query, building
-    /// the sampler internally from [`Query::sampler`] + [`Query::seed`].
+    /// Validates and runs the query over its own world stream: [`CHUNK`]-world
+    /// chunks of [`Query::sampler`] + [`Query::seed`]. [`Query::exec`] only
+    /// sets how many threads solve those chunks, never the result.
     ///
     /// ```
     /// use densest::DensityNotion;
@@ -999,21 +984,19 @@ impl Query {
     /// assert_eq!(run.top_k[0].0, vec![0, 1]);
     /// ```
     pub fn run(&self, g: &UncertainGraph) -> Result<Run, ApiError> {
-        self.validate()?;
-        let started = Instant::now();
-        match self.exec {
-            Exec::Serial => {
-                let mut sampler = self.sampler.build(g, self.seed);
-                self.run_serial(g, &mut *sampler, started)
-            }
-            Exec::Threads(workers) => self.run_threads(g, workers, started),
-        }
+        let workers = match self.exec {
+            Exec::Serial => 1,
+            Exec::Threads(n) => n,
+        };
+        self.as_set()
+            .execute(g, None, workers)
+            .map(|mut batch| batch.runs.swap_remove(0))
     }
 
-    /// Runs the query with a caller-supplied sampler instead of resolving
-    /// one from [`Query::sampler`] + [`Query::seed`]. Serial only: an
-    /// external sampler is a single mutable stream, so [`Exec::Threads`]
-    /// returns [`ApiError::Unsupported`].
+    /// Runs the query with a caller-supplied sampler as its whole world
+    /// stream, instead of one resolved from [`Query::sampler`] +
+    /// [`Query::seed`]. The sampler is one mutable stream, so the calling
+    /// thread draws and solves every world whatever [`Query::exec`] says.
     ///
     /// ```
     /// use densest::DensityNotion;
@@ -1033,361 +1016,158 @@ impl Query {
     pub fn run_with_sampler<S: WorldSampler + ?Sized>(
         &self,
         g: &UncertainGraph,
-        sampler: &mut S,
+        // `&mut S` is sized even where `S` is not, so `&mut sampler`
+        // coerces to the executor's `&mut dyn WorldSampler`.
+        mut sampler: &mut S,
     ) -> Result<Run, ApiError> {
-        self.validate()?;
-        if let Exec::Threads(_) = self.exec {
-            return Err(ApiError::Unsupported {
-                message: "an external sampler is a single mutable stream; \
-                          Exec::Threads needs per-worker sub-streams (use Query::run)"
-                    .to_string(),
-            });
-        }
-        self.run_serial(g, sampler, Instant::now())
+        self.as_set()
+            .execute(g, Some(&mut sampler), 1)
+            .map(|mut batch| batch.runs.swap_remove(0))
     }
 
-    fn progress_sink(&self) -> &dyn ProgressSink {
+    /// This query as a one-member [`QuerySet`] over its own stream knobs and
+    /// run hooks.
+    fn as_set(&self) -> QuerySet {
+        let set = QuerySet::new()
+            .sampler(self.sampler)
+            .theta(self.theta)
+            .seed(self.seed)
+            .stop(self.stop)
+            .control(self.control.clone())
+            .push(self.clone());
         match &self.progress {
-            Some(sink) => sink.as_ref(),
-            None => &NoProgress,
+            Some(sink) => set.progress(Arc::clone(sink)),
+            None => set,
         }
     }
 
-    /// The sampling loop's iteration ceiling: θ under [`Stop::FixedTheta`],
-    /// `theta_cap` under [`Stop::Stable`].
-    fn world_limit(&self) -> usize {
-        match self.stop {
-            Stop::FixedTheta => self.theta,
-            Stop::Stable { theta_cap, .. } => theta_cap,
-        }
-    }
-
-    /// A fresh [`StableTracker`] when this query early-stops on stability.
-    fn stable_tracker(&self) -> Option<StableTracker> {
-        match self.stop {
-            Stop::FixedTheta => None,
-            Stop::Stable {
-                window, min_theta, ..
-            } => Some(StableTracker::new(window, min_theta)),
-        }
-    }
-
-    /// Stamps `converged_at` once the outcome is known: a stable stop at
-    /// `worlds` means the top-k last changed at `worlds - window`.
-    fn note_convergence(&self, outcome: &mut WorldsOutcome) {
-        if outcome.reason == StopReason::Stable {
-            if let Stop::Stable { window, .. } = self.stop {
-                outcome.converged_at = Some(outcome.worlds.saturating_sub(window));
-            }
-        }
-    }
-
-    fn run_serial<S: WorldSampler + ?Sized>(
-        &self,
-        g: &UncertainGraph,
-        sampler: &mut S,
-        started: Instant,
-    ) -> Result<Run, ApiError> {
-        let progress = self.progress_sink();
-        let limit = self.world_limit();
-        progress.begin(limit);
-        let mut tracker = self.stable_tracker();
-        // Stage recorder (if attached): a disabled recorder hands out inert
-        // spans, so the un-profiled loop pays one branch per stage, no
-        // clock reads.
-        let rec = self.control.recorder();
+    /// The per-world solver work, which any thread may do.
+    fn solve(&self, world: &Graph) -> Record {
+        let heuristic = || heuristic_dense_subgraphs(world, &self.notion).map(|h| h.subgraphs);
         match self.kind {
-            Kind::Mpds => {
-                let mut acc = MpdsAccum::new(self);
-                let mut outcome =
-                    sample_worlds(g, sampler, limit, &self.control, progress, |world| {
-                        {
-                            let _span = rec.map(|r| r.span(Stage::EstimatorAccumulate));
-                            acc.consume(world, self);
-                        }
-                        match &mut tracker {
-                            None => true,
-                            Some(t) => {
-                                let _span = rec.map(|r| r.span(Stage::StableTracker));
-                                !t.observe(top_k_sets(&acc.candidates, self.k))
-                            }
-                        }
-                    })?;
-                self.note_convergence(&mut outcome);
-                Ok(self.finish_mpds(acc, outcome, started))
-            }
-            Kind::Nds => {
-                let mut acc = NdsAccum::new(self);
-                let mut outcome =
-                    sample_worlds(g, sampler, limit, &self.control, progress, |world| {
-                        {
-                            let _span = rec.map(|r| r.span(Stage::EstimatorAccumulate));
-                            acc.consume(world, self);
-                        }
-                        match &mut tracker {
-                            None => true,
-                            Some(t) => {
-                                let _span = rec.map(|r| r.span(Stage::StableTracker));
-                                let (mined, _) = itemset::top_k_closed(
-                                    &acc.transactions,
-                                    self.k,
-                                    self.min_size,
-                                    self.miner_node_cap,
-                                );
-                                let current: Vec<NodeSet> =
-                                    mined.into_iter().map(|c| c.items).collect();
-                                !t.observe(current)
-                            }
-                        }
-                    })?;
-                self.note_convergence(&mut outcome);
-                Ok(self.finish_nds(acc, outcome, started))
-            }
-        }
-    }
-
-    fn run_threads(
-        &self,
-        g: &UncertainGraph,
-        workers: usize,
-        started: Instant,
-    ) -> Result<Run, ApiError> {
-        let progress = self.progress_sink();
-        progress.begin(self.theta);
-        match self.kind {
-            Kind::Mpds => {
-                let (acc, outcome) =
-                    self.run_workers(g, workers, progress, MpdsAccum::new(self))?;
-                Ok(self.finish_mpds(acc, outcome, started))
-            }
-            Kind::Nds => {
-                let (acc, outcome) = self.run_workers(g, workers, progress, NdsAccum::new(self))?;
-                Ok(self.finish_nds(acc, outcome, started))
-            }
-        }
-    }
-
-    /// Splits θ across `workers` scoped threads (worker `w` gets sub-stream
-    /// `w` of the root seed and an even share of θ, the first `θ mod n`
-    /// workers one extra), then merges the partial accumulators in worker
-    /// order — so the merged state is position-for-position the state one
-    /// worker would have produced from the concatenated streams.
-    fn run_workers<A: Accum>(
-        &self,
-        g: &UncertainGraph,
-        workers: usize,
-        progress: &dyn ProgressSink,
-        seed_acc: A,
-    ) -> Result<(A, WorldsOutcome), ApiError> {
-        let per = self.theta / workers;
-        let extra = self.theta % workers;
-        let results: Vec<(A, Result<WorldsOutcome, Interrupted>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let quota = per + usize::from(w < extra);
-                    let mut acc = seed_acc.fresh();
-                    scope.spawn(move || {
-                        let rec = self.control.recorder();
-                        let mut sampler = self.sampler.build_stream(g, self.seed, w as u64);
-                        let outcome = sample_worlds(
-                            g,
-                            &mut *sampler,
-                            quota,
-                            &self.control,
-                            progress,
-                            |world| {
-                                let _span = rec.map(|r| r.span(Stage::EstimatorAccumulate));
-                                acc.consume(world, self);
-                                true
-                            },
-                        );
-                        (acc, outcome)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("estimator worker panicked"))
-                .collect()
-        });
-        let completed: usize = results
-            .iter()
-            .map(|(_, r)| match r {
-                Ok(o) => o.worlds,
-                Err(i) => i.completed_worlds,
-            })
-            .sum();
-        if let Some(reason) = results
-            .iter()
-            .find_map(|(_, r)| r.as_ref().err().map(|i| i.reason))
-        {
-            return Err(ApiError::Interrupted(Interrupted {
-                reason,
-                completed_worlds: completed,
-            }));
-        }
-        // Workers stop gracefully at different counts when a shared budget
-        // expires; the merged run is Budget if any worker was.
-        let reason = if results
-            .iter()
-            .any(|(_, r)| matches!(r, Ok(o) if o.reason == StopReason::Budget))
-        {
-            StopReason::Budget
-        } else {
-            StopReason::Completed
-        };
-        let mut merged = seed_acc;
-        for (partial, _) in results {
-            merged.merge(partial);
-        }
-        Ok((
-            merged,
-            WorldsOutcome {
-                worlds: completed,
-                reason,
-                converged_at: None,
+            Kind::Mpds if self.heuristic => Record::Family(heuristic().unwrap_or_default(), false),
+            Kind::Mpds => match all_densest(world, &self.notion, self.enumeration_cap) {
+                None => Record::Family(Vec::new(), false),
+                Some(r) => Record::Family(r.subgraphs, r.truncated),
             },
-        ))
+            // Heuristic stand-in: the densest subgraph found by core peeling.
+            Kind::Nds if self.heuristic => {
+                Record::MaxSized(heuristic().map(|mut sets| sets.swap_remove(0)))
+            }
+            Kind::Nds => Record::MaxSized(max_sized_densest(world, &self.notion).map(|(_, ms)| ms)),
+        }
     }
 
-    fn finish_mpds(&self, acc: MpdsAccum, outcome: WorldsOutcome, started: Instant) -> Run {
+    fn finish(&self, acc: Accum, outcome: WorldsOutcome, started: Instant) -> Run {
         // The divisor is the achieved world count, so an early-stopped run
         // is exactly the fixed-θ run at that θ (same stream prefix).
         let worlds = outcome.worlds;
-        let top_k = select_top_k(&acc.candidates, self.k, worlds);
-        let summary = if acc.densest_counts.is_empty() {
-            None
-        } else {
-            Some(densest_count_stats(&acc.densest_counts))
-        };
-        let result = MpdsResult {
-            top_k: top_k.clone(),
-            candidates: acc.candidates,
-            theta: worlds,
-            empty_worlds: acc.empty_worlds,
-            densest_counts: acc.densest_counts,
-            truncated: acc.truncated,
+        let (score, top_k, truncated, summary, details) = match self.kind {
+            Kind::Mpds => {
+                let top_k = select_top_k(&acc.candidates, self.k, worlds);
+                let summary = (!acc.densest_counts.is_empty())
+                    .then(|| densest_count_stats(&acc.densest_counts));
+                let result = MpdsResult {
+                    top_k: top_k.clone(),
+                    candidates: acc.candidates,
+                    theta: worlds,
+                    empty_worlds: acc.empty_worlds,
+                    densest_counts: acc.densest_counts,
+                    truncated: acc.truncated,
+                };
+                let details = RunDetails::Mpds(result);
+                (Score::TauHat, top_k, acc.truncated, summary, details)
+            }
+            Kind::Nds => {
+                let (mined, miner_capped) = itemset::top_k_closed(
+                    &acc.transactions,
+                    self.k,
+                    self.min_size,
+                    self.miner_node_cap,
+                );
+                let top_k: Vec<(NodeSet, f64)> = mined
+                    .into_iter()
+                    .map(|c| (c.items, c.support as f64 / worlds as f64))
+                    .collect();
+                let result = NdsResult {
+                    top_k: top_k.clone(),
+                    transactions: acc.transactions,
+                    theta: worlds,
+                    empty_worlds: acc.empty_worlds,
+                    miner_capped,
+                };
+                let details = RunDetails::Nds(result);
+                (Score::GammaHat, top_k, miner_capped, None, details)
+            }
         };
         Run {
             top_k,
-            score: Score::TauHat,
+            score,
             stats: RunStats {
                 worlds_sampled: worlds,
                 stop_reason: outcome.reason,
                 converged_at: outcome.converged_at,
-                empty_worlds: result.empty_worlds,
+                empty_worlds: acc.empty_worlds,
                 wall: started.elapsed(),
-                truncated: result.truncated,
+                truncated,
                 densest_count_summary: summary,
             },
-            details: RunDetails::Mpds(result),
-        }
-    }
-
-    fn finish_nds(&self, acc: NdsAccum, outcome: WorldsOutcome, started: Instant) -> Run {
-        let worlds = outcome.worlds;
-        let (mined, miner_capped) = itemset::top_k_closed(
-            &acc.transactions,
-            self.k,
-            self.min_size,
-            self.miner_node_cap,
-        );
-        let top_k: Vec<(NodeSet, f64)> = mined
-            .into_iter()
-            .map(|c| (c.items, c.support as f64 / worlds as f64))
-            .collect();
-        let result = NdsResult {
-            top_k: top_k.clone(),
-            transactions: acc.transactions,
-            theta: worlds,
-            empty_worlds: acc.empty_worlds,
-            miner_capped,
-        };
-        Run {
-            top_k,
-            score: Score::GammaHat,
-            stats: RunStats {
-                worlds_sampled: worlds,
-                stop_reason: outcome.reason,
-                converged_at: outcome.converged_at,
-                empty_worlds: result.empty_worlds,
-                wall: started.elapsed(),
-                truncated: miner_capped,
-                densest_count_summary: None,
-            },
-            details: RunDetails::Nds(result),
+            details,
         }
     }
 }
 
-/// How a [`sample_worlds`] loop ended: how many worlds it drew and why it
-/// stopped. `converged_at` is stamped by the caller (only it knows the
-/// stable window).
+/// Worlds per chunk of a run's world stream: chunk `j` is drawn from
+/// [`SamplerKind::build_stream`]`(g, seed, j)`, whichever thread solves it.
+/// 128 is one RSS batch, so stratification is never cut mid-batch.
+pub const CHUNK: usize = 128;
+
+/// How a run ended: how many worlds it folded and why it stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct WorldsOutcome {
-    /// Worlds fully sampled and consumed.
-    pub worlds: usize,
-    /// Why the loop stopped.
-    pub reason: StopReason,
+struct WorldsOutcome {
+    worlds: usize,
+    reason: StopReason,
     /// For stable stops: the world count after which the top-k was frozen.
-    pub converged_at: Option<usize>,
+    converged_at: Option<usize>,
 }
 
-/// THE sampling loop: every estimator, sampler, and execution mode runs
-/// through this one function (serial runs call it once, `Exec::Threads`
-/// workers once each). Per iteration: poll the [`RunControl`] (abortive
-/// deadline / cancellation), check the graceful time budget, draw a world
-/// into the recycled mask + CSR storage (zero steady-state allocation),
-/// hand it to the accumulator, notify the [`ProgressSink`]. The
-/// accumulator's `per_world` return steers early stopping: `false` ends the
-/// loop with [`StopReason::Stable`]. An exhausted budget ends it with
-/// [`StopReason::Budget`] — but never before the first world, so a budgeted
-/// run always returns a (minimal) estimate.
-pub(crate) fn sample_worlds<S: WorldSampler + ?Sized>(
-    g: &UncertainGraph,
-    sampler: &mut S,
-    limit: usize,
-    ctrl: &RunControl,
-    progress: &dyn ProgressSink,
-    mut per_world: impl FnMut(&Graph) -> bool,
-) -> Result<WorldsOutcome, Interrupted> {
-    let mut mask = EdgeMask::new(g.num_edges());
-    let mut world = Graph::default();
-    let rec = ctrl.recorder();
-    for completed in 0..limit {
-        if let Some(reason) = ctrl.interruption() {
-            return Err(Interrupted {
-                reason,
-                completed_worlds: completed,
-            });
-        }
-        if completed > 0 && ctrl.budget_exhausted() {
-            return Ok(WorldsOutcome {
-                worlds: completed,
-                reason: StopReason::Budget,
-                converged_at: None,
-            });
-        }
-        {
-            let _span = rec.map(|r| r.span(Stage::WorldMaterialize));
-            sampler.next_mask_into(&mut mask);
-            world = g.world_from_bitmap(&mask, world);
-        }
-        let keep_going = per_world(&world);
-        progress.world_done();
-        if !keep_going {
-            return Ok(WorldsOutcome {
-                worlds: completed + 1,
-                reason: StopReason::Stable,
-                converged_at: None,
-            });
+/// Recycled mask and CSR storage for drawing worlds one after another with
+/// no steady-state allocation.
+pub(crate) struct WorldBuf {
+    mask: EdgeMask,
+    world: Graph,
+}
+
+impl WorldBuf {
+    pub(crate) fn new(g: &UncertainGraph) -> Self {
+        WorldBuf {
+            mask: EdgeMask::new(g.num_edges()),
+            world: Graph::default(),
         }
     }
-    Ok(WorldsOutcome {
-        worlds: limit,
-        reason: StopReason::Completed,
-        converged_at: None,
-    })
+
+    /// Draws `sampler`'s next world, timed as [`Stage::WorldMaterialize`].
+    pub(crate) fn next<S: WorldSampler + ?Sized>(
+        &mut self,
+        g: &UncertainGraph,
+        sampler: &mut S,
+        rec: Option<&Recorder>,
+    ) -> &Graph {
+        let _span = rec.map(|r| r.span(Stage::WorldMaterialize));
+        sampler.next_mask_into(&mut self.mask);
+        self.world = g.world_from_bitmap(&self.mask, std::mem::take(&mut self.world));
+        &self.world
+    }
+}
+
+/// One world's solver output for one query: what [`Query::solve`] computes
+/// on any thread, before [`Accum::fold`] counts it in world order.
+enum Record {
+    /// MPDS: the densest family (empty for an empty world) and whether its
+    /// enumeration hit the cap.
+    Family(Vec<NodeSet>, bool),
+    /// NDS: the max-sized densest subgraph, if the world has one.
+    MaxSized(Option<NodeSet>),
 }
 
 /// Watches the per-world top-k under [`Stop::Stable`]: counts how many
@@ -1426,127 +1206,135 @@ impl StableTracker {
     }
 }
 
-/// A per-worker partial result: consumes worlds, merges in worker order.
-trait Accum: Send + Sized {
-    /// An empty accumulator with the same configuration.
-    fn fresh(&self) -> Self;
-    /// Processes one sampled world.
-    fn consume(&mut self, world: &Graph, q: &Query);
-    /// Appends another worker's partial state (worker order!).
-    fn merge(&mut self, other: Self);
-}
-
-struct MpdsAccum {
+/// One query's running estimate, fed one [`Record`] per world in stream
+/// order.
+struct Accum {
     candidates: HashMap<NodeSet, u32>,
-    empty_worlds: usize,
+    /// MPDS under [`Stop::Stable`]: the current top-k, for the tracker.
+    top: Option<TopK>,
+    transactions: Vec<NodeSet>,
     densest_counts: Vec<usize>,
+    empty_worlds: usize,
     truncated: bool,
     choice_rng: StdRng,
 }
 
-impl MpdsAccum {
+impl Accum {
     fn new(q: &Query) -> Self {
-        MpdsAccum {
+        let per_world = |kind| if q.kind == kind { q.theta } else { 0 };
+        let stable = matches!(q.stop, Stop::Stable { .. });
+        Accum {
             candidates: HashMap::new(),
+            top: (stable && q.kind == Kind::Mpds).then(|| TopK::new(q.k)),
+            transactions: Vec::with_capacity(per_world(Kind::Nds)),
+            densest_counts: Vec::with_capacity(per_world(Kind::Mpds)),
             empty_worlds: 0,
-            densest_counts: Vec::with_capacity(q.theta),
             truncated: false,
             choice_rng: StdRng::seed_from_u64(q.choice_seed),
         }
     }
-}
 
-impl Accum for MpdsAccum {
-    fn fresh(&self) -> Self {
-        MpdsAccum {
-            candidates: HashMap::new(),
-            empty_worlds: 0,
-            densest_counts: Vec::new(),
-            truncated: false,
-            choice_rng: self.choice_rng.clone(),
-        }
-    }
-
-    fn consume(&mut self, world: &Graph, q: &Query) {
-        let subgraphs: Vec<NodeSet> = if q.heuristic {
-            match heuristic_dense_subgraphs(world, &q.notion) {
-                None => Vec::new(),
-                Some(h) => h.subgraphs,
-            }
-        } else {
-            match all_densest(world, &q.notion, q.enumeration_cap) {
-                None => Vec::new(),
-                Some(r) => {
-                    self.truncated |= r.truncated;
-                    r.subgraphs
+    /// Counts the next world's record.
+    fn fold(&mut self, record: Record, q: &Query) {
+        match record {
+            Record::Family(mut family, truncated) => {
+                self.truncated |= truncated;
+                self.densest_counts.push(family.len());
+                if family.is_empty() {
+                    self.empty_worlds += 1;
+                } else if q.all_densest {
+                    for sg in family {
+                        self.count(sg);
+                    }
+                } else {
+                    // §VI-D ablation: one uniformly random densest subgraph.
+                    let pick = self.choice_rng.gen_range(0..family.len());
+                    self.count(family.swap_remove(pick));
                 }
             }
-        };
-        if subgraphs.is_empty() {
-            self.empty_worlds += 1;
-            self.densest_counts.push(0);
+            Record::MaxSized(Some(ms)) => self.transactions.push(ms),
+            Record::MaxSized(None) => self.empty_worlds += 1,
+        }
+    }
+
+    /// Counts one more world in which `set` is a densest subgraph.
+    fn count(&mut self, set: NodeSet) {
+        let Some(top) = &mut self.top else {
+            *self.candidates.entry(set).or_insert(0) += 1;
             return;
-        }
-        self.densest_counts.push(subgraphs.len());
-        if q.all_densest {
-            for sg in subgraphs {
-                *self.candidates.entry(sg).or_insert(0) += 1;
-            }
-        } else {
-            // §VI-D ablation: one uniformly random densest subgraph.
-            let pick = self.choice_rng.gen_range(0..subgraphs.len());
-            *self.candidates.entry(subgraphs[pick].clone()).or_insert(0) += 1;
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (set, c) in other.candidates {
-            *self.candidates.entry(set).or_insert(0) += c;
-        }
-        self.empty_worlds += other.empty_worlds;
-        self.densest_counts.extend(other.densest_counts);
-        self.truncated |= other.truncated;
-    }
-}
-
-struct NdsAccum {
-    transactions: Vec<NodeSet>,
-    empty_worlds: usize,
-}
-
-impl NdsAccum {
-    fn new(q: &Query) -> Self {
-        NdsAccum {
-            transactions: Vec::with_capacity(q.theta),
-            empty_worlds: 0,
-        }
-    }
-}
-
-impl Accum for NdsAccum {
-    fn fresh(&self) -> Self {
-        NdsAccum {
-            transactions: Vec::new(),
-            empty_worlds: 0,
-        }
-    }
-
-    fn consume(&mut self, world: &Graph, q: &Query) {
-        let max_sized: Option<NodeSet> = if q.heuristic {
-            // Heuristic stand-in: the densest subgraph found by core peeling.
-            heuristic_dense_subgraphs(world, &q.notion).map(|h| h.subgraphs[0].clone())
-        } else {
-            max_sized_densest(world, &q.notion).map(|(_, ms)| ms)
         };
-        match max_sized {
-            Some(ms) => self.transactions.push(ms),
-            None => self.empty_worlds += 1,
+        match self.candidates.get_mut(&set) {
+            Some(count) => {
+                *count += 1;
+                top.offer(&set, *count);
+            }
+            None => {
+                top.offer(&set, 1);
+                self.candidates.insert(set, 1);
+            }
         }
     }
 
-    fn merge(&mut self, other: Self) {
-        self.transactions.extend(other.transactions);
-        self.empty_worlds += other.empty_worlds;
+    /// The current top-k node sets, as [`Stop::Stable`] watches them.
+    fn top_k_sets(&self, q: &Query) -> Vec<NodeSet> {
+        match q.kind {
+            Kind::Mpds => (self.top.as_ref())
+                .expect("MPDS keeps its top-k under Stop::Stable")
+                .sets(),
+            Kind::Nds => {
+                let (mined, _) =
+                    itemset::top_k_closed(&self.transactions, q.k, q.min_size, q.miner_node_cap);
+                mined.into_iter().map(|c| c.items).collect()
+            }
+        }
+    }
+}
+
+/// The chunked world stream rebuilt by hand, for tests: [`CHUNK`]-world
+/// chunks of [`SamplerKind::build_stream`] concatenated into one sampler.
+#[cfg(test)]
+pub(crate) struct ChunkedReference<'g> {
+    g: &'g UncertainGraph,
+    kind: SamplerKind,
+    seed: u64,
+    drawn: usize,
+    chunk: Option<Box<dyn WorldSampler>>,
+}
+
+#[cfg(test)]
+impl<'g> ChunkedReference<'g> {
+    pub(crate) fn new(g: &'g UncertainGraph, kind: SamplerKind, seed: u64) -> Self {
+        ChunkedReference {
+            g,
+            kind,
+            seed,
+            drawn: 0,
+            chunk: None,
+        }
+    }
+}
+
+#[cfg(test)]
+impl WorldSampler for ChunkedReference<'_> {
+    fn num_edges(&self) -> usize {
+        self.g.num_edges()
+    }
+
+    fn next_mask_into(&mut self, mask: &mut EdgeMask) {
+        if self.drawn % CHUNK == 0 {
+            let j = (self.drawn / CHUNK) as u64;
+            self.chunk = Some(self.kind.build_stream(self.g, self.seed, j));
+        }
+        self.drawn += 1;
+        self.chunk.as_mut().unwrap().next_mask_into(mask);
+    }
+
+    fn aux_memory_bytes(&self) -> usize {
+        0
+    }
+
+    fn name(&self) -> &'static str {
+        "chunked-reference"
     }
 }
 
@@ -1596,6 +1384,7 @@ mod tests {
         let _push: fn(QuerySet, Query) -> QuerySet = QuerySet::push;
         let _batch: fn(&QuerySet, &UncertainGraph) -> Result<BatchRun, ApiError> = QuerySet::run;
         let _amortized: fn(&BatchStats) -> f64 = BatchStats::worlds_per_member;
+        let _chunk: usize = crate::api::CHUNK;
         let _variants = [SamplerKind::MonteCarlo, SamplerKind::Lp, SamplerKind::Rss];
         let _modes = [Exec::Serial, Exec::Threads(2)];
         let _scores = [Score::TauHat, Score::GammaHat];
@@ -1614,14 +1403,14 @@ mod tests {
         ];
     }
 
-    /// The serial seeding contract: `run()` with seed `s` is bit-identical
-    /// to `run_with_sampler` over an equally-seeded external sampler — the
-    /// behavior the deleted `top_k_mpds` free function pinned.
+    /// The seeding contract: `run()` with seed `s` is bit-identical to
+    /// `run_with_sampler` over the chunk-composed stream of `s` (at θ = 300,
+    /// three chunks).
     #[test]
     fn serial_mpds_matches_equally_seeded_external_sampler() {
         let g = fig1();
         let q = Query::mpds(DensityNotion::Edge).theta(300).k(3);
-        let mut mc = MonteCarlo::new(&g, StdRng::seed_from_u64(17));
+        let mut mc = ChunkedReference::new(&g, SamplerKind::MonteCarlo, 17);
         let external = mpds_details(q.clone().run_with_sampler(&g, &mut mc).unwrap());
         let run = q.seed(17).run(&g).unwrap();
         let internal = mpds_details(run);
@@ -1631,54 +1420,96 @@ mod tests {
         assert_eq!(internal.empty_worlds, external.empty_worlds);
     }
 
-    /// `Exec::Threads(n)` merges worker sub-streams in worker order: worker
-    /// `w`'s contribution equals a serial run over MC sub-stream `w` with
-    /// its quota, and the merged top-k is `select_top_k` of the summed
-    /// candidate tables.
-    #[test]
-    fn threads_mpds_merges_worker_substreams_in_order() {
-        let g = fig1();
-        let (seed, theta, workers) = (42u64, 500usize, 3usize);
-        let per = theta / workers;
-        let extra = theta % workers;
-        let mut expected_candidates: HashMap<NodeSet, u32> = HashMap::new();
-        let mut expected_counts: Vec<usize> = Vec::new();
-        for w in 0..workers {
-            let quota = per + usize::from(w < extra);
-            let mut mc = MonteCarlo::with_stream(&g, seed, w as u64);
-            let part = mpds_details(
-                Query::mpds(DensityNotion::Edge)
-                    .theta(quota)
-                    .k(3)
-                    .run_with_sampler(&g, &mut mc)
-                    .unwrap(),
-            );
-            for (set, c) in part.candidates {
-                *expected_candidates.entry(set).or_insert(0) += c;
+    /// Asserts two runs are bit-identical in everything but wall time.
+    fn assert_same_run(a: &Run, b: &Run, what: &str) {
+        assert_eq!(a.top_k, b.top_k, "{what}");
+        let (sa, sb) = (&a.stats, &b.stats);
+        assert_eq!(sa.worlds_sampled, sb.worlds_sampled, "{what}");
+        assert_eq!(sa.stop_reason, sb.stop_reason, "{what}");
+        assert_eq!(sa.converged_at, sb.converged_at, "{what}");
+        assert_eq!(sa.empty_worlds, sb.empty_worlds, "{what}");
+        assert_eq!(sa.truncated, sb.truncated, "{what}");
+        assert_eq!(sa.densest_count_summary, sb.densest_count_summary, "{what}");
+        match (&a.details, &b.details) {
+            (RunDetails::Mpds(x), RunDetails::Mpds(y)) => {
+                assert_eq!(x.candidates, y.candidates, "{what}");
+                assert_eq!(x.densest_counts, y.densest_counts, "{what}");
             }
-            expected_counts.extend(part.densest_counts);
+            (RunDetails::Nds(x), RunDetails::Nds(y)) => {
+                assert_eq!(x.transactions, y.transactions, "{what}");
+                assert_eq!(x.miner_capped, y.miner_capped, "{what}");
+            }
+            _ => panic!("{what}: estimator mismatch"),
         }
-        let expected_top_k = select_top_k(&expected_candidates, 3, theta);
-        let run = Query::mpds(DensityNotion::Edge)
-            .theta(theta)
-            .k(3)
-            .seed(seed)
-            .exec(Exec::Threads(workers))
-            .run(&g)
-            .unwrap();
-        assert_eq!(run.top_k, expected_top_k);
-        let details = mpds_details(run);
-        assert_eq!(details.candidates, expected_candidates);
-        assert_eq!(details.densest_counts, expected_counts);
     }
 
-    /// The serial seeding contract for NDS (the behavior the deleted
-    /// `top_k_nds` free function pinned).
+    /// The thread-count law: `Exec::Threads(n)` for n in 1..=8 is
+    /// bit-identical to `Exec::Serial` across chunk boundaries, estimators,
+    /// the one-densest ablation, samplers, stable stops, and an expired
+    /// budget.
+    #[test]
+    fn threads_are_bit_identical_to_serial() {
+        use std::time::Duration;
+        let g = fig1();
+        let queries = [
+            Query::mpds(DensityNotion::Edge).k(3),
+            Query::mpds(DensityNotion::Edge).k(3).all_densest(false),
+            Query::nds(DensityNotion::Edge).k(3).min_size(2),
+        ];
+        let spent = RunControl::unbounded().with_budget(Instant::now() - Duration::from_millis(1));
+        let stable = Stop::Stable {
+            window: 8,
+            min_theta: 8,
+            theta_cap: 300,
+        };
+        for kind in [SamplerKind::MonteCarlo, SamplerKind::Lp, SamplerKind::Rss] {
+            for q in &queries {
+                let q = q.clone().sampler(kind).seed(29);
+                let mut cases: Vec<(String, Query)> = [1, 127, 128, 129, 300]
+                    .map(|theta| (format!("theta {theta}"), q.clone().theta(theta)))
+                    .to_vec();
+                cases.push(("stable".to_string(), q.clone().stop(stable)));
+                cases.push(("budget".to_string(), q.clone().control(spent.clone())));
+                for (case, q) in cases {
+                    let serial = q.run(&g).unwrap();
+                    for n in 1..=8 {
+                        let what = format!("{} {q:?} {case} Threads({n})", kind.name());
+                        let threaded = q.clone().exec(Exec::Threads(n)).run(&g).unwrap();
+                        assert_same_run(&threaded, &serial, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The chunking law: `run()` is bit-identical to `run_with_sampler` over
+    /// the hand-built concatenation of [`CHUNK`]-world chunks, for every
+    /// sampler and estimator, on either side of a chunk boundary.
+    #[test]
+    fn run_equals_chunk_composed_sampler() {
+        let g = fig1();
+        for kind in [SamplerKind::MonteCarlo, SamplerKind::Lp, SamplerKind::Rss] {
+            for q in [
+                Query::mpds(DensityNotion::Edge).k(3),
+                Query::nds(DensityNotion::Edge).k(3).min_size(2),
+            ] {
+                for theta in [128, 129, 300] {
+                    let q = q.clone().sampler(kind).seed(31).theta(theta);
+                    let mut reference = ChunkedReference::new(&g, kind, 31);
+                    let composed = q.run_with_sampler(&g, &mut reference).unwrap();
+                    let what = format!("{} {q:?}", kind.name());
+                    assert_same_run(&q.run(&g).unwrap(), &composed, &what);
+                }
+            }
+        }
+    }
+
+    /// The seeding contract for NDS, at θ = 200 (two chunks).
     #[test]
     fn serial_nds_matches_equally_seeded_external_sampler() {
         let g = fig1();
         let q = Query::nds(DensityNotion::Edge).theta(200).k(4).min_size(2);
-        let mut mc = MonteCarlo::new(&g, StdRng::seed_from_u64(8));
+        let mut mc = ChunkedReference::new(&g, SamplerKind::MonteCarlo, 8);
         let external = nds_details(q.clone().run_with_sampler(&g, &mut mc).unwrap());
         let run = q.seed(8).run(&g).unwrap();
         let internal = nds_details(run);
@@ -1687,56 +1518,24 @@ mod tests {
         assert_eq!(internal.empty_worlds, external.empty_worlds);
     }
 
-    #[test]
-    fn threads_nds_concatenates_worker_streams_in_order() {
-        let g = fig1();
-        let (seed, theta, workers) = (9u64, 90usize, 4usize);
-        // Expected: worker w's transactions are a serial run over MC
-        // sub-stream w with its quota.
-        let per = theta / workers;
-        let extra = theta % workers;
-        let mut expected: Vec<NodeSet> = Vec::new();
-        for w in 0..workers {
-            let quota = per + usize::from(w < extra);
-            let mut mc = MonteCarlo::with_stream(&g, seed, w as u64);
-            let part = nds_details(
-                Query::nds(DensityNotion::Edge)
-                    .theta(quota)
-                    .k(4)
-                    .min_size(2)
-                    .run_with_sampler(&g, &mut mc)
-                    .unwrap(),
-            );
-            expected.extend(part.transactions);
-        }
-        let run = Query::nds(DensityNotion::Edge)
-            .theta(theta)
-            .k(4)
-            .seed(seed)
-            .exec(Exec::Threads(workers))
-            .run(&g)
-            .unwrap();
-        assert_eq!(nds_details(run).transactions, expected);
-    }
-
-    /// Regression carried over from the deleted `parallel` module: with the
-    /// old `seed + w` worker seeding, a 2-worker run rooted at seed 1 shared
-    /// worker 1's entire world stream with a run rooted at seed 2 (its
-    /// worker 0). The decorrelated sub-streams must make adjacent-seed runs
-    /// draw genuinely different world multisets.
+    /// Regression carried over from the deleted `parallel` module: with
+    /// `seed + j` chunk seeding, a run rooted at seed 1 would share its
+    /// chunk 1 with chunk 0 of a run rooted at seed 2. The decorrelated
+    /// sub-streams must make adjacent-seed runs draw genuinely different
+    /// world multisets.
     #[test]
     fn adjacent_root_seeds_draw_different_worlds() {
         let g = fig1();
         let q = Query::mpds(DensityNotion::Edge)
-            .theta(64)
+            .theta(2 * CHUNK)
             .k(3)
             .exec(Exec::Threads(2));
         let a = mpds_details(q.clone().seed(1).run(&g).unwrap());
         let b = mpds_details(q.seed(2).run(&g).unwrap());
         // Identical per-world densest counts in order would mean shared
-        // streams; the halves must not line up under any worker alignment.
-        assert_ne!(a.densest_counts[..32], b.densest_counts[..32]);
-        assert_ne!(a.densest_counts[32..], b.densest_counts[..32]);
+        // streams; the chunks must not line up under any alignment.
+        assert_ne!(a.densest_counts[..CHUNK], b.densest_counts[..CHUNK]);
+        assert_ne!(a.densest_counts[CHUNK..], b.densest_counts[..CHUNK]);
     }
 
     /// Carried over from the deleted `parallel` module: the threaded
@@ -1768,18 +1567,16 @@ mod tests {
             Query::mpds(DensityNotion::Edge).exec(Exec::Threads(0)),
             "exec",
         );
-        bad(
-            Query::mpds(DensityNotion::Edge)
-                .theta(2)
-                .exec(Exec::Threads(3)),
-            "exec",
+        // More threads than worlds, and the one-densest ablation under
+        // threads, are valid: both are the serial run.
+        let one = Query::mpds(DensityNotion::Edge).theta(2).all_densest(false);
+        let serial = one.run(&g).unwrap();
+        let threaded = one.exec(Exec::Threads(3)).run(&g).unwrap();
+        assert_eq!(threaded.top_k, serial.top_k);
+        assert_eq!(
+            mpds_details(threaded).candidates,
+            mpds_details(serial).candidates
         );
-        let unsupported = Query::mpds(DensityNotion::Edge)
-            .theta(10)
-            .all_densest(false)
-            .exec(Exec::Threads(2))
-            .run(&g);
-        assert!(matches!(unsupported, Err(ApiError::Unsupported { .. })));
     }
 
     /// The builder accepts degenerate `k = 0` ("rank nothing") and NDS
@@ -1804,16 +1601,20 @@ mod tests {
         assert!(run.top_k.len() <= 2);
     }
 
+    /// An external sampler is one stream, drawn on the calling thread:
+    /// `Exec::Threads` is accepted and changes nothing.
     #[test]
     fn external_sampler_rejects_threads() {
         let g = fig1();
-        let mut mc = MonteCarlo::new(&g, StdRng::seed_from_u64(1));
-        let err = Query::mpds(DensityNotion::Edge)
-            .theta(10)
-            .exec(Exec::Threads(2))
-            .run_with_sampler(&g, &mut mc)
-            .unwrap_err();
-        assert!(matches!(err, ApiError::Unsupported { .. }));
+        let run = |exec: Exec| {
+            let mut mc = MonteCarlo::new(&g, StdRng::seed_from_u64(1));
+            Query::mpds(DensityNotion::Edge)
+                .theta(300)
+                .exec(exec)
+                .run_with_sampler(&g, &mut mc)
+                .unwrap()
+        };
+        assert_same_run(&run(Exec::Threads(2)), &run(Exec::Serial), "external");
     }
 
     #[test]
@@ -1914,8 +1715,8 @@ mod tests {
         assert_eq!(mpds_details(run).candidates, mpds_details(one).candidates);
     }
 
-    /// A threaded run under an expired budget still merges one world per
-    /// worker instead of aborting.
+    /// A threaded run under an expired budget stops gracefully after one
+    /// world, like the serial run: the budget acts at fold time.
     #[test]
     fn expired_budget_under_threads_is_graceful() {
         use std::time::Duration;
@@ -1929,7 +1730,7 @@ mod tests {
             .run(&g)
             .unwrap();
         assert_eq!(run.stats.stop_reason, StopReason::Budget);
-        assert_eq!(run.stats.worlds_sampled, 2); // one world per worker
+        assert_eq!(run.stats.worlds_sampled, 1);
     }
 
     /// The tentpole guarantee: a `Stop::Stable` run that stops at `t`
@@ -2066,15 +1867,16 @@ mod tests {
             min_theta: 20,
             theta_cap: 10,
         });
-        let err = Query::mpds(DensityNotion::Edge)
-            .stop(Stop::Stable {
-                window: 8,
-                min_theta: 8,
-                theta_cap: 100,
-            })
-            .exec(Exec::Threads(2))
-            .run(&g);
-        assert!(matches!(err, Err(ApiError::Unsupported { .. })));
+        // The rule watches worlds in stream order, so threads stop it at
+        // the same world.
+        let stable = Query::mpds(DensityNotion::Edge).stop(Stop::Stable {
+            window: 8,
+            min_theta: 8,
+            theta_cap: 400,
+        });
+        let serial = stable.run(&g).unwrap();
+        let threaded = stable.exec(Exec::Threads(2)).run(&g).unwrap();
+        assert_same_run(&threaded, &serial, "stable");
     }
 
     /// Fixed-θ runs report `Completed` and the full θ — the default stats

@@ -15,8 +15,8 @@
 //!
 //! # Bit-identity contract
 //!
-//! A standalone serial [`Query::run`] builds its sampler from the query's
-//! `(sampler kind, seed)` pair — the world stream does not depend on the
+//! A standalone [`Query::run`] builds its world stream from the query's
+//! `(sampler kind, seed)` pair — the stream does not depend on the
 //! estimator at all. A `QuerySet` builds the *same* stream once and feeds
 //! every member, so **each member's [`Run`] is bit-identical to the
 //! standalone run** of that member with the set's `(sampler, θ, seed)` —
@@ -28,10 +28,24 @@
 //!
 //! # Execution model
 //!
-//! A `QuerySet` is strictly serial: [`Exec::Threads`] splits θ into
-//! per-worker sub-streams that members cannot share, so members configured
-//! with it are rejected with a typed [`ApiError::Unsupported`] (the same
-//! precedent as [`Query::run_with_sampler`] and [`crate::recompute`]).
+//! Every `run*` of [`Query`] and `QuerySet` goes through one executor: a
+//! [`Query`] runs as a one-member set. Worlds come in [`CHUNK`]-world
+//! chunks, chunk `j` from [`SamplerKind::build_stream`]`(g, seed, j)` (or
+//! all from one caller-supplied sampler). Per world, each member's work
+//! splits in two:
+//!
+//! * **solve** — the densest family, or the max-sized densest subgraph —
+//!   which any thread may do;
+//! * **fold** — candidate counting, the one-densest pick, the transaction
+//!   push — done on the calling thread in world order, where the stable
+//!   tracker, the budget, progress, and `completed_worlds` act too.
+//!
+//! With one worker each world is folded as soon as it is solved, so no
+//! record is buffered. With `n` workers, helper `w` solves chunks
+//! `w, w + n, …` and holds at most one solved chunk ahead of the fold.
+//! Either way a run, and the exact stream prefix where it stops, is the
+//! same. A set always runs one worker and ignores each member's
+//! [`Exec`](super::Exec), as it ignores member θ, seed and stop.
 //!
 //! # Example
 //!
@@ -64,12 +78,14 @@
 //! ```
 
 use super::{
-    sample_worlds, Accum, ApiError, Exec, Kind, MpdsAccum, NdsAccum, NoProgress, ProgressSink,
-    Query, Run, SamplerKind, StableTracker, Stop, StopReason,
+    Accum, ApiError, NoProgress, ProgressSink, Query, Record, Run, SamplerKind, StableTracker,
+    Stop, StopReason, WorldBuf, WorldsOutcome, CHUNK,
 };
-use crate::control::RunControl;
-use crate::estimate::top_k_sets;
+use crate::control::{Interrupted, RunControl};
+use mpds_obs::Stage;
 use sampling::WorldSampler;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use ugraph::UncertainGraph;
@@ -323,7 +339,7 @@ impl QuerySet {
     }
 
     /// Validates the set and rewrites every member onto the shared stream:
-    /// estimator knobs kept, stream knobs and run hooks superseded.
+    /// estimator knobs kept, stream knobs superseded.
     fn normalized_members(&self) -> Result<Vec<Query>, ApiError> {
         if self.members.is_empty() {
             return Err(ApiError::InvalidParameter {
@@ -331,66 +347,23 @@ impl QuerySet {
                 message: "a QuerySet needs at least one member query".to_string(),
             });
         }
-        if self.theta == 0 {
-            return Err(ApiError::InvalidParameter {
-                param: "theta",
-                message: "need at least one sampled world".to_string(),
-            });
-        }
-        if let Stop::Stable {
-            window,
-            min_theta,
-            theta_cap,
-        } = self.stop
-        {
-            let invalid = |message: String| {
-                Err(ApiError::InvalidParameter {
-                    param: "stop",
-                    message,
-                })
-            };
-            if window == 0 {
-                return invalid("Stable window must be at least 1".to_string());
-            }
-            if theta_cap == 0 {
-                return invalid("Stable theta_cap must be at least 1".to_string());
-            }
-            if min_theta > theta_cap {
-                return invalid(format!(
-                    "Stable min_theta {min_theta} exceeds theta_cap {theta_cap}"
-                ));
-            }
-        }
-        let mut members = Vec::with_capacity(self.members.len());
-        for member in &self.members {
-            if let Exec::Threads(_) = member.exec {
-                return Err(ApiError::Unsupported {
-                    message: "QuerySet members share one serial world stream; \
-                              Exec::Threads splits θ into per-worker sub-streams no \
-                              batch member can share — run threaded queries standalone \
-                              via Query::run"
-                        .to_string(),
-                });
-            }
-            let mut q = member.clone();
-            q.sampler = self.sampler;
-            q.theta = self.theta;
-            q.seed = self.seed;
-            // Stability is decided jointly by the set (see run_serial), so
-            // members run as plain fixed-θ estimators over the shared
-            // stream.
-            q.stop = Stop::FixedTheta;
-            q.control = self.control.clone();
-            q.progress = None;
-            q.validate()?;
-            members.push(q);
-        }
-        Ok(members)
+        self.members
+            .iter()
+            .map(|member| {
+                let mut q = member.clone();
+                q.sampler = self.sampler;
+                q.theta = self.theta;
+                q.seed = self.seed;
+                q.stop = self.stop;
+                q.validate()?;
+                Ok(q)
+            })
+            .collect()
     }
 
-    /// Validates the set, builds the shared sampler from
+    /// Validates the set, builds the shared stream from
     /// `(sampler kind, seed)`, and evaluates every member from one pass over
-    /// θ worlds.
+    /// θ worlds on the calling thread.
     ///
     /// Each returned [`Run`] is bit-identical (`top_k`, details, counters —
     /// wall time excepted) to the standalone [`Query::run`] of that member
@@ -416,8 +389,7 @@ impl QuerySet {
     /// assert_eq!(batch.runs[1].top_k, alone.top_k);
     /// ```
     pub fn run(&self, g: &UncertainGraph) -> Result<BatchRun, ApiError> {
-        let mut sampler = self.sampler.build(g, self.seed);
-        self.run_serial(g, &mut *sampler)
+        self.execute(g, None, 1)
     }
 
     /// Like [`QuerySet::run`] with a caller-supplied world stream instead of
@@ -450,105 +422,253 @@ impl QuerySet {
     pub fn run_with_sampler<S: WorldSampler + ?Sized>(
         &self,
         g: &UncertainGraph,
-        sampler: &mut S,
+        // `&mut S` is sized even where `S` is not, so `&mut sampler`
+        // coerces to the executor's `&mut dyn WorldSampler`.
+        mut sampler: &mut S,
     ) -> Result<BatchRun, ApiError> {
-        self.run_serial(g, sampler)
+        self.execute(g, Some(&mut sampler), 1)
     }
 
-    fn run_serial<S: WorldSampler + ?Sized>(
+    /// THE sampling loop behind every `run*` of [`Query`] and [`QuerySet`]
+    /// (see the module docs' execution model): the set's own chunked stream
+    /// on `workers` threads, or `external` as the whole stream on one.
+    pub(super) fn execute(
         &self,
         g: &UncertainGraph,
-        sampler: &mut S,
+        external: Option<&mut dyn WorldSampler>,
+        workers: usize,
     ) -> Result<BatchRun, ApiError> {
         let members = self.normalized_members()?;
         let started = Instant::now();
-        let progress: &dyn ProgressSink = match &self.progress {
-            Some(sink) => sink.as_ref(),
-            None => &NoProgress,
-        };
         let limit = match self.stop {
             Stop::FixedTheta => self.theta,
             Stop::Stable { theta_cap, .. } => theta_cap,
         };
+        let progress: &dyn ProgressSink = match &self.progress {
+            Some(sink) => sink.as_ref(),
+            None => &NoProgress,
+        };
         progress.begin(limit);
-        enum MemberAccum {
-            Mpds(MpdsAccum),
-            Nds(NdsAccum),
-        }
-        let mut accums: Vec<MemberAccum> = members
-            .iter()
-            .map(|q| match q.kind {
-                Kind::Mpds => MemberAccum::Mpds(MpdsAccum::new(q)),
-                Kind::Nds => MemberAccum::Nds(NdsAccum::new(q)),
-            })
-            .collect();
-        // One tracker per member under Stop::Stable: the batch stops at the
-        // first world where every member is simultaneously stable.
-        let mut trackers: Option<Vec<StableTracker>> = match self.stop {
-            Stop::FixedTheta => None,
-            Stop::Stable {
-                window, min_theta, ..
-            } => Some(
-                members
-                    .iter()
+        let mut fold = Fold {
+            members: &members,
+            accums: members.iter().map(Accum::new).collect(),
+            // One tracker per member: the run stops at the first world
+            // where every member is simultaneously stable.
+            trackers: match self.stop {
+                Stop::FixedTheta => Vec::new(),
+                Stop::Stable {
+                    window, min_theta, ..
+                } => (members.iter())
                     .map(|_| StableTracker::new(window, min_theta))
                     .collect(),
-            ),
+            },
+            ctrl: &self.control,
+            progress,
+            worlds: 0,
         };
-        let mut outcome = sample_worlds(g, sampler, limit, &self.control, progress, |world| {
-            for (accum, q) in accums.iter_mut().zip(&members) {
-                match accum {
-                    MemberAccum::Mpds(a) => a.consume(world, q),
-                    MemberAccum::Nds(a) => a.consume(world, q),
-                }
+        let stopped = match external {
+            Some(sampler) => fold.inline(g, sampler, limit, &mut WorldBuf::new(g))?,
+            None => self.chunked(g, &mut fold, limit, workers)?,
+        };
+        let reason = stopped.unwrap_or(StopReason::Completed);
+        let converged_at = match self.stop {
+            Stop::Stable { window, .. } if reason == StopReason::Stable => {
+                Some(fold.worlds.saturating_sub(window))
             }
-            match &mut trackers {
-                None => true,
-                Some(ts) => {
-                    let mut all_stable = true;
-                    for ((t, accum), q) in ts.iter_mut().zip(&accums).zip(&members) {
-                        let current = match accum {
-                            MemberAccum::Mpds(a) => top_k_sets(&a.candidates, q.k),
-                            MemberAccum::Nds(a) => itemset::top_k_closed(
-                                &a.transactions,
-                                q.k,
-                                q.min_size,
-                                q.miner_node_cap,
-                            )
-                            .0
-                            .into_iter()
-                            .map(|c| c.items)
-                            .collect(),
-                        };
-                        all_stable &= t.observe(current);
-                    }
-                    !all_stable
-                }
-            }
-        })?;
-        if outcome.reason == StopReason::Stable {
-            if let Stop::Stable { window, .. } = self.stop {
-                outcome.converged_at = Some(outcome.worlds.saturating_sub(window));
-            }
-        }
-        let runs: Vec<Run> = accums
-            .into_iter()
-            .zip(&members)
-            .map(|(accum, q)| match accum {
-                MemberAccum::Mpds(a) => q.finish_mpds(a, outcome, started),
-                MemberAccum::Nds(a) => q.finish_nds(a, outcome, started),
-            })
+            _ => None,
+        };
+        let outcome = WorldsOutcome {
+            worlds: fold.worlds,
+            reason,
+            converged_at,
+        };
+        let runs: Vec<Run> = (fold.accums.into_iter().zip(&members))
+            .map(|(acc, q)| q.finish(acc, outcome, started))
             .collect();
         Ok(BatchRun {
             stats: BatchStats {
                 worlds_sampled: outcome.worlds,
-                stop_reason: outcome.reason,
-                converged_at: outcome.converged_at,
+                stop_reason: reason,
+                converged_at,
                 members: runs.len(),
                 wall: started.elapsed(),
             },
             runs,
         })
+    }
+
+    /// Folds the set's own chunked stream: chunk `j` goes to worker
+    /// `j mod workers`, worker 0 being the calling thread, which solves its
+    /// chunks inline and folds every chunk in order.
+    fn chunked(
+        &self,
+        g: &UncertainGraph,
+        fold: &mut Fold<'_>,
+        limit: usize,
+        workers: usize,
+    ) -> Result<Option<StopReason>, Interrupted> {
+        let chunks = limit.div_ceil(CHUNK);
+        let workers = workers.clamp(1, chunks);
+        let chunk_len = |j: usize| CHUNK.min(limit - j * CHUNK);
+        let members = fold.members;
+        let halt = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers)
+                .map(|w| {
+                    // A rendezvous channel: a helper holds at most one
+                    // solved chunk until the fold takes it.
+                    let (tx, rx) = sync_channel(0);
+                    let halt = &halt;
+                    scope.spawn(move || {
+                        for j in (w..chunks).step_by(workers) {
+                            let solved = self.solve_chunk(g, j, chunk_len(j), members, halt);
+                            if tx.send(solved).is_err() {
+                                break;
+                            }
+                        }
+                    });
+                    rx
+                })
+                .collect();
+            let mut buf = WorldBuf::new(g);
+            let mut fold_chunks = || {
+                for j in 0..chunks {
+                    let len = chunk_len(j);
+                    if j % workers == 0 {
+                        let mut sampler = self.sampler.build_stream(g, self.seed, j as u64);
+                        if let Some(stop) = fold.inline(g, &mut *sampler, len, &mut buf)? {
+                            return Ok(Some(stop));
+                        }
+                        continue;
+                    }
+                    let solved: Vec<Vec<Record>> = helpers[j % workers - 1]
+                        .recv()
+                        .expect("estimator helper panicked");
+                    let short = solved.len() < len;
+                    for world in solved {
+                        if let Some(stop) = fold.gate()? {
+                            return Ok(Some(stop));
+                        }
+                        let mut records = world.into_iter();
+                        let next = |_: &Query| records.next().expect("one record per member");
+                        if let Some(stop) = fold.world(next) {
+                            return Ok(Some(stop));
+                        }
+                    }
+                    if short {
+                        // The helper saw the control fire, so the fold
+                        // stops here too.
+                        return Ok(Some(fold.gate()?.unwrap_or(StopReason::Budget)));
+                    }
+                }
+                Ok(None)
+            };
+            let stopped = fold_chunks();
+            // Release the helpers: mid-chunk ones see `halt`, and ones
+            // blocked in `send` see their receiver dropped.
+            halt.store(true, Ordering::Relaxed);
+            stopped
+        })
+    }
+
+    /// A helper's share of the work: solves chunk `j` world by world,
+    /// stopping early, with the records so far, once the fold is done or
+    /// the control fires.
+    fn solve_chunk(
+        &self,
+        g: &UncertainGraph,
+        j: usize,
+        len: usize,
+        members: &[Query],
+        halt: &AtomicBool,
+    ) -> Vec<Vec<Record>> {
+        let ctrl = &self.control;
+        let rec = ctrl.recorder();
+        let mut sampler = self.sampler.build_stream(g, self.seed, j as u64);
+        let mut buf = WorldBuf::new(g);
+        let mut solved = Vec::with_capacity(len);
+        while solved.len() < len
+            && !halt.load(Ordering::Relaxed)
+            && ctrl.interruption().is_none()
+            && !ctrl.budget_exhausted()
+        {
+            let world = buf.next(g, &mut *sampler, rec);
+            let _span = rec.map(|r| r.span(Stage::EstimatorAccumulate));
+            solved.push(members.iter().map(|q| q.solve(world)).collect());
+        }
+        solved
+    }
+}
+
+/// The in-order half of the executor: folds each world's records into the
+/// members' accumulators and decides, world by world, when to stop.
+struct Fold<'a> {
+    members: &'a [Query],
+    accums: Vec<Accum>,
+    /// One per member under [`Stop::Stable`], none otherwise.
+    trackers: Vec<StableTracker>,
+    ctrl: &'a RunControl,
+    progress: &'a dyn ProgressSink,
+    /// Worlds folded so far.
+    worlds: usize,
+}
+
+impl Fold<'_> {
+    /// Polled before each world: an abortive interruption, or a graceful
+    /// budget stop — never before the first world, so a budgeted run always
+    /// returns an estimate.
+    fn gate(&self) -> Result<Option<StopReason>, Interrupted> {
+        if let Some(reason) = self.ctrl.interruption() {
+            return Err(Interrupted {
+                reason,
+                completed_worlds: self.worlds,
+            });
+        }
+        Ok((self.worlds > 0 && self.ctrl.budget_exhausted()).then_some(StopReason::Budget))
+    }
+
+    /// Folds the next world, `solve` giving each member's record in member
+    /// order; `Some(Stable)` once every member's top-k has settled.
+    fn world(&mut self, mut solve: impl FnMut(&Query) -> Record) -> Option<StopReason> {
+        let rec = self.ctrl.recorder();
+        {
+            let _span = rec.map(|r| r.span(Stage::EstimatorAccumulate));
+            for (acc, q) in self.accums.iter_mut().zip(self.members) {
+                acc.fold(solve(q), q);
+            }
+        }
+        self.worlds += 1;
+        self.progress.world_done();
+        if self.trackers.is_empty() {
+            return None;
+        }
+        let _span = rec.map(|r| r.span(Stage::StableTracker));
+        let mut all_stable = true;
+        for ((t, acc), q) in self.trackers.iter_mut().zip(&self.accums).zip(self.members) {
+            all_stable &= t.observe(acc.top_k_sets(q));
+        }
+        all_stable.then_some(StopReason::Stable)
+    }
+
+    /// Draws up to `len` worlds from `sampler` and folds each as soon as it
+    /// is solved, buffering no record.
+    fn inline(
+        &mut self,
+        g: &UncertainGraph,
+        sampler: &mut dyn WorldSampler,
+        len: usize,
+        buf: &mut WorldBuf,
+    ) -> Result<Option<StopReason>, Interrupted> {
+        for _ in 0..len {
+            if let Some(stop) = self.gate()? {
+                return Ok(Some(stop));
+            }
+            let world = buf.next(g, sampler, self.ctrl.recorder());
+            if let Some(stop) = self.world(|q| q.solve(world)) {
+                return Ok(Some(stop));
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -648,7 +768,7 @@ pub struct BatchRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::RunDetails;
+    use crate::api::{Exec, RunDetails};
     use crate::control::InterruptReason;
     use densest::DensityNotion;
 
@@ -725,16 +845,29 @@ mod tests {
         assert_eq!(batch.runs[0].stats.worlds_sampled, 80);
     }
 
+    /// A member's `exec` is ignored like its θ and seed: a threaded member
+    /// is accepted and yields the serial member's bytes.
     #[test]
     fn threads_member_is_rejected_with_unsupported() {
         let g = fig1();
-        let err = QuerySet::new()
-            .theta(40)
-            .push(Query::mpds(DensityNotion::Edge).exec(Exec::Threads(2)))
-            .run(&g)
-            .unwrap_err();
-        assert!(matches!(err, ApiError::Unsupported { .. }), "{err}");
-        assert!(err.to_string().contains("serial world stream"), "{err}");
+        let run = |exec: Exec| {
+            QuerySet::new()
+                .theta(300)
+                .push(Query::mpds(DensityNotion::Edge).k(3).exec(exec))
+                .run(&g)
+                .unwrap()
+                .runs
+                .swap_remove(0)
+        };
+        let (threaded, serial) = (run(Exec::Threads(2)), run(Exec::Serial));
+        assert_eq!(threaded.top_k, serial.top_k);
+        match (threaded.details, serial.details) {
+            (RunDetails::Mpds(a), RunDetails::Mpds(b)) => {
+                assert_eq!(a.candidates, b.candidates);
+                assert_eq!(a.densest_counts, b.densest_counts);
+            }
+            _ => panic!("built with Query::mpds"),
+        }
     }
 
     #[test]

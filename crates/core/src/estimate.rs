@@ -99,32 +99,51 @@ pub(crate) fn select_top_k(
         .collect()
 }
 
-/// The k best candidate *sets* under exactly [`select_top_k`]'s order, by
-/// bounded insertion instead of a full sort — O(n·k) with no intermediate
-/// allocation, cheap enough to call once per sampled world (the
-/// `Stop::Stable` tracker does).
-pub(crate) fn top_k_sets(candidates: &HashMap<NodeSet, u32>, k: usize) -> Vec<NodeSet> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let before = |(xs, xc): (&NodeSet, u32), (ys, yc): (&NodeSet, u32)| -> bool {
-        yc.cmp(&xc)
-            .then(xs.len().cmp(&ys.len()))
-            .then(xs.cmp(ys))
-            .is_lt()
-    };
-    let mut top: Vec<(&NodeSet, u32)> = Vec::with_capacity(k + 1);
-    for (s, &c) in candidates {
-        if let Some(&last) = top.last() {
-            if top.len() == k && !before((s, c), last) {
-                continue;
-            }
+/// The k best candidate sets under exactly [`select_top_k`]'s order, kept
+/// current while counts grow, so the `Stop::Stable` tracker reads the top-k
+/// after every world without rescanning every candidate.
+///
+/// Offer a set each time its count grows. Counts never shrink, so a set
+/// whose count did not change cannot overtake a kept one, and the kept sets
+/// stay the top-k of all candidates.
+pub(crate) struct TopK {
+    k: usize,
+    entries: Vec<(NodeSet, u32)>,
+}
+
+impl TopK {
+    pub(crate) fn new(k: usize) -> Self {
+        TopK {
+            k,
+            entries: Vec::with_capacity(k + 1),
         }
-        let pos = top.partition_point(|&entry| before(entry, (s, c)));
-        top.insert(pos, (s, c));
-        top.truncate(k);
     }
-    top.into_iter().map(|(s, _)| s.clone()).collect()
+
+    /// Records that `set`'s count is now `count`.
+    pub(crate) fn offer(&mut self, set: &NodeSet, count: u32) {
+        let before = |(xs, xc): (&NodeSet, u32), (ys, yc): (&NodeSet, u32)| -> bool {
+            yc.cmp(&xc)
+                .then(xs.len().cmp(&ys.len()))
+                .then(xs.cmp(ys))
+                .is_lt()
+        };
+        let owned = match self.entries.iter().position(|(s, _)| s == set) {
+            Some(i) => self.entries.remove(i).0,
+            None if self.entries.len() < self.k => set.clone(),
+            None => match self.entries.last() {
+                Some((last, c)) if before((set, count), (last, *c)) => set.clone(),
+                _ => return,
+            },
+        };
+        let pos = (self.entries).partition_point(|(s, c)| before((s, *c), (set, count)));
+        self.entries.insert(pos, (owned, count));
+        self.entries.truncate(self.k);
+    }
+
+    /// The kept sets, best first.
+    pub(crate) fn sets(&self) -> Vec<NodeSet> {
+        self.entries.iter().map(|(s, _)| s.clone()).collect()
+    }
 }
 
 /// Summary statistics of the per-world densest-subgraph counts, as reported
@@ -161,25 +180,31 @@ mod tests {
     #[test]
     fn top_k_sets_matches_the_full_sort() {
         // Pseudo-random counts with heavy ties exercise every tie-break
-        // (count, then length, then lexicographic).
+        // (count, then length, then lexicographic). Counts grow one at a
+        // time, as the fold grows them, and after each step the kept top-k
+        // must equal the full sort's.
         let mut candidates: HashMap<NodeSet, u32> = HashMap::new();
+        let mut tops: Vec<TopK> = [0, 1, 3, 7, 60].into_iter().map(TopK::new).collect();
         let mut x = 0x9e3779b97f4a7c15u64;
-        for i in 0..200u32 {
+        for _ in 0..600 {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let len = 1 + (x % 4) as u32;
-            let set: NodeSet = (0..len).map(|j| (i + j * 7) % 50).collect();
+            let first = (x >> 32) as u32 % 50;
+            let set: NodeSet = (0..len).map(|j| (first + j * 7) % 50).collect();
             let set = ugraph::nodeset::canonicalize(set);
-            candidates.insert(set, (x >> 32) as u32 % 5);
-        }
-        for k in [0, 1, 3, 7, candidates.len(), candidates.len() + 5] {
-            let fast = top_k_sets(&candidates, k);
-            let slow: Vec<NodeSet> = select_top_k(&candidates, k, 1)
-                .into_iter()
-                .map(|(s, _)| s)
-                .collect();
-            assert_eq!(fast, slow, "k = {k}");
+            let count = candidates.entry(set.clone()).or_insert(0);
+            *count += 1;
+            let count = *count;
+            for top in &mut tops {
+                top.offer(&set, count);
+                let slow: Vec<NodeSet> = select_top_k(&candidates, top.k, 1)
+                    .into_iter()
+                    .map(|(s, _)| s)
+                    .collect();
+                assert_eq!(top.sets(), slow, "k = {}", top.k);
+            }
         }
     }
 
@@ -309,11 +334,12 @@ mod tests {
 
     #[test]
     fn unbounded_control_matches_uncontrolled_run() {
+        use crate::api::{ChunkedReference, SamplerKind};
         use crate::control::RunControl;
         let g = fig1();
         let cfg = MpdsConfig::new(DensityNotion::Edge, 300, 3);
         let a = run(&g, &cfg, 17);
-        let mut mc = MonteCarlo::new(&g, StdRng::seed_from_u64(17));
+        let mut mc = ChunkedReference::new(&g, SamplerKind::MonteCarlo, 17);
         let b = match query_for(&cfg)
             .control(RunControl::unbounded())
             .run_with_sampler(&g, &mut mc)

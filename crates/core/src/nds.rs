@@ -203,7 +203,7 @@ mod tests {
 
     #[test]
     fn controlled_run_matches_and_interrupts() {
-        use crate::api::ApiError;
+        use crate::api::{ApiError, ChunkedReference, SamplerKind};
         use crate::control::{InterruptReason, RunControl};
         use rand::rngs::StdRng;
         use rand::SeedableRng;
@@ -212,7 +212,7 @@ mod tests {
         let g = UncertainGraph::from_weighted_edges(4, &[(0, 1, 0.4), (0, 2, 0.4), (1, 3, 0.7)]);
         let cfg = NdsConfig::new(DensityNotion::Edge, 200, 3, 2);
         let plain = run(&g, &cfg, 8);
-        let mut mc = MonteCarlo::new(&g, StdRng::seed_from_u64(8));
+        let mut mc = ChunkedReference::new(&g, SamplerKind::MonteCarlo, 8);
         let ctrl = query_for(&cfg)
             .control(RunControl::unbounded())
             .run_with_sampler(&g, &mut mc)

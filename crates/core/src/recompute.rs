@@ -16,8 +16,8 @@
 //! *counter-based*, from a hash of `(stream seed, world index, endpoints)`:
 //! presence depends only on the edge's own identity and probability, never
 //! on which other edges exist. Sub-streams use the same
-//! [`sampling::stream_seed`] derivation as `Exec::Threads` workers, so
-//! batch-splitting stays decorrelated.
+//! [`sampling::stream_seed`] derivation as the chunks of a
+//! [`Query::run`] stream, so batch-splitting stays decorrelated.
 //!
 //! [`Recompute`] packages the pattern: one [`Query`] run over the *before*
 //! and *after* snapshots with per-snapshot CRN samplers, returning both
@@ -91,9 +91,9 @@ impl CommonRandomNumbers {
     }
 
     /// Builds the sampler for sub-stream `stream` of `root_seed` — the same
-    /// [`stream_seed`] derivation `Exec::Threads` workers use, so CRN
-    /// batches split across workers stay decorrelated from each other while
-    /// remaining comparable world-for-world across graph versions.
+    /// [`stream_seed`] derivation the chunks of a [`Query::run`] stream use,
+    /// so CRN batches stay decorrelated from each other while remaining
+    /// comparable world-for-world across graph versions.
     ///
     /// ```
     /// use mpds::recompute::CommonRandomNumbers;
@@ -276,10 +276,9 @@ pub struct RecomputeReport {
 /// Runs one [`Query`] over two graph versions under common random numbers
 /// and diffs the top-k rankings.
 ///
-/// Serial execution only: CRN sampling is a single per-snapshot stream, so
-/// a query configured with `Exec::Threads` is rejected as `Unsupported`
-/// (the same rule as [`Query::run_with_sampler`]). The query's
-/// [`RunControl`] is polled per world in both runs.
+/// Each run draws its per-snapshot CRN stream on the calling thread (the
+/// rule of [`Query::run_with_sampler`]), so the query's `exec` changes
+/// nothing. The query's [`RunControl`] is polled per world in both runs.
 ///
 /// ```
 /// use densest::DensityNotion;
@@ -510,6 +509,7 @@ mod tests {
         assert_eq!((r.rank_before, r.rank_after), (1, 0));
     }
 
+    /// Cancellable, and a threaded query diffs to the serial query's bytes.
     #[test]
     fn recompute_is_cancellable_and_rejects_threads() {
         let g = fig1();
@@ -525,13 +525,15 @@ mod tests {
             }
             other => panic!("expected interruption, got {other:?}"),
         }
-        let err = Recompute::new(
-            Query::mpds(DensityNotion::Edge)
-                .theta(100)
-                .exec(Exec::Threads(2)),
-        )
-        .run(&g, &g)
-        .unwrap_err();
-        assert!(matches!(err, ApiError::Unsupported { .. }));
+        let after =
+            UncertainGraph::from_weighted_edges(4, &[(0, 1, 0.4), (0, 2, 0.4), (1, 3, 0.2)]);
+        let report = |exec: Exec| {
+            let q = Query::mpds(DensityNotion::Edge).theta(300).exec(exec);
+            Recompute::new(q).run(&g, &after).unwrap()
+        };
+        let (threaded, serial) = (report(Exec::Threads(2)), report(Exec::Serial));
+        assert_eq!(threaded.before.top_k, serial.before.top_k);
+        assert_eq!(threaded.after.top_k, serial.after.top_k);
+        assert_eq!(threaded.diff, serial.diff);
     }
 }

@@ -8,8 +8,7 @@
 //! `U` is contained in a densest subgraph iff it is contained in the
 //! maximum-sized one (footnote 5).
 
-use crate::api::{sample_worlds, NoProgress};
-use crate::control::RunControl;
+use crate::api::WorldBuf;
 use densest::solve::instances_of;
 use densest::{max_density, max_sized_densest, Density, DensityNotion};
 use sampling::WorldSampler;
@@ -25,30 +24,23 @@ pub fn estimate_tau_for<S: WorldSampler>(
 ) -> Vec<f64> {
     assert!(theta > 0);
     let mut hits = vec![0u32; sets.len()];
-    sample_worlds(
-        g,
-        sampler,
-        theta,
-        &RunControl::unbounded(),
-        &NoProgress,
-        |world| {
-            let Some(rho) = max_density(world, notion) else {
-                return true;
-            };
-            let inst = instances_of(world, notion);
-            for (i, set) in sets.iter().enumerate() {
-                if set.is_empty() {
-                    continue;
-                }
-                let cnt = inst.count_within(world.num_nodes(), set);
-                if cnt > 0 && Density::new(cnt, set.len() as u64) == rho {
-                    hits[i] += 1;
-                }
+    let mut buf = WorldBuf::new(g);
+    for _ in 0..theta {
+        let world = buf.next(g, sampler, None);
+        let Some(rho) = max_density(world, notion) else {
+            continue;
+        };
+        let inst = instances_of(world, notion);
+        for (i, set) in sets.iter().enumerate() {
+            if set.is_empty() {
+                continue;
             }
-            true
-        },
-    )
-    .expect("an unbounded RunControl never interrupts");
+            let cnt = inst.count_within(world.num_nodes(), set);
+            if cnt > 0 && Density::new(cnt, set.len() as u64) == rho {
+                hits[i] += 1;
+            }
+        }
+    }
     hits.iter().map(|&h| h as f64 / theta as f64).collect()
 }
 
@@ -70,25 +62,18 @@ pub fn estimate_gamma_for<S: WorldSampler>(
         })
         .collect();
     let mut hits = vec![0u32; sets.len()];
-    sample_worlds(
-        g,
-        sampler,
-        theta,
-        &RunControl::unbounded(),
-        &NoProgress,
-        |world| {
-            let Some((_, max_sized)) = max_sized_densest(world, notion) else {
-                return true;
-            };
-            for (i, set) in sorted.iter().enumerate() {
-                if !set.is_empty() && nodeset::is_subset(set, &max_sized) {
-                    hits[i] += 1;
-                }
+    let mut buf = WorldBuf::new(g);
+    for _ in 0..theta {
+        let world = buf.next(g, sampler, None);
+        let Some((_, max_sized)) = max_sized_densest(world, notion) else {
+            continue;
+        };
+        for (i, set) in sorted.iter().enumerate() {
+            if !set.is_empty() && nodeset::is_subset(set, &max_sized) {
+                hits[i] += 1;
             }
-            true
-        },
-    )
-    .expect("an unbounded RunControl never interrupts");
+        }
+    }
     hits.iter().map(|&h| h as f64 / theta as f64).collect()
 }
 

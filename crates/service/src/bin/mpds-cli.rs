@@ -21,7 +21,8 @@
 //!   --density D     edge | Nclique | 2star | 3star | c3star | diamond
 //!                                                   [default edge]
 //!   --seed N        sampler seed                    [default 42]
-//!   --threads N     estimator worker threads        [default 1 = serial]
+//!   --threads N     threads solving the worlds; same output for any N
+//!                                                   [default 1]
 //!   --heuristic     use the core-based heuristic per world
 //!   --stop P        termination policy: fixed | stable    [default fixed]
 //!   --window N      stable-stop window (requires --stop stable) [default 32]
@@ -1032,7 +1033,6 @@ mod tests {
 
     #[test]
     fn run_threads_flag_is_parsed_and_validated() {
-        // Previously parallel execution was unreachable from the CLI;
         // --threads wires Exec::Threads through the query engine.
         let o = parse_run(&["mpds", "g.txt", "--threads", "4"]).unwrap();
         assert_eq!(o.threads, 4);

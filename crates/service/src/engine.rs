@@ -3,9 +3,10 @@
 //!
 //! The contract that makes serving these estimators worthwhile is
 //! **determinism**: a query is fully described by
-//! `(dataset, generation, algo, notion, θ, k, l_m, seed, heuristic,
-//! threads)`, and two evaluations of the same key produce bytewise-identical
-//! JSON. The engine exploits that twice — a sharded LRU keyed on the tuple
+//! `(dataset, generation, algo, notion, θ, k, l_m, seed, heuristic, stop)`,
+//! and two evaluations of the same key produce bytewise-identical JSON. The
+//! thread count is not in the key: it only sets how many threads solve the
+//! worlds, never which worlds are drawn or how they are counted. The engine exploits that twice — a sharded LRU keyed on the tuple
 //! serves repeats from memory, and an in-flight table coalesces concurrent
 //! identical queries so N simultaneous arrivals cost one computation, all N
 //! receiving the same `Arc`'d bytes.
@@ -101,7 +102,7 @@ pub enum StopSpec {
     Fixed,
     /// Stop early once the top-k has been unchanged for `window`
     /// consecutive worlds, with θ as the hard cap (maps onto
-    /// [`mpds::Stop::Stable`]). Serial only.
+    /// [`mpds::Stop::Stable`]).
     Stable {
         /// Consecutive unchanged-top-k worlds required before stopping.
         window: u32,
@@ -110,8 +111,9 @@ pub enum StopSpec {
 
 /// A fully-parameterized query. Everything that affects the response bytes
 /// is in here (and in the dataset's content, which is fixed per name);
-/// `timeout_ms` and `budget_ms` only affect *whether / how far* the query
-/// runs this time, so they are not part of the cache key — which is what
+/// `threads` only affects how fast the query runs, and `timeout_ms` and
+/// `budget_ms` only *whether / how far* it runs this time, so none of them
+/// is part of the cache key — which is what
 /// lets background refinement republish a converged answer under the same
 /// key a budget-truncated response was cached under.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,9 +134,9 @@ pub struct QueryRequest {
     pub seed: u64,
     /// Use the §III-C heuristic per world.
     pub heuristic: bool,
-    /// Worker threads for this query's sampling loop (1 = serial, the
-    /// default). Parallel runs draw per-worker sub-streams of `seed`, so
-    /// the thread count is response-affecting and part of the cache key.
+    /// Threads that solve this query's worlds (1, the default, is the
+    /// calling thread alone). The response bytes are the same for every
+    /// count, so it is not part of the cache key.
     pub threads: usize,
     /// Stop policy (see [`StopSpec`]).
     pub stop: StopSpec,
@@ -191,23 +193,12 @@ impl QueryRequest {
         if self.threads == 0 || self.threads > 64 {
             return Err(format!("threads {} outside 1..=64", self.threads));
         }
-        if self.threads > self.theta {
-            return Err(format!(
-                "threads {} exceeds theta {}",
-                self.threads, self.theta
-            ));
-        }
         if let StopSpec::Stable { window } = self.stop {
             if window == 0 || window > 10_000 {
                 return Err(format!("window {window} outside 1..=10000"));
             }
             if window as usize > self.theta {
                 return Err(format!("window {window} exceeds theta {}", self.theta));
-            }
-            if self.threads > 1 {
-                return Err(
-                    "stop=stable watches one ordered world stream; drop threads".to_string()
-                );
             }
         }
         parse_notion(&self.notion)
@@ -234,7 +225,6 @@ impl QueryRequest {
             },
             seed: self.seed,
             heuristic: self.heuristic,
-            threads: self.threads,
             stop: self.stop,
         }
     }
@@ -252,13 +242,12 @@ pub struct QueryKey {
     lm: usize,
     seed: u64,
     heuristic: bool,
-    threads: usize,
     stop: StopSpec,
 }
 
 /// One member of a [`BatchRequest`]: the estimator-side knobs. The world
-/// stream (`dataset`, `theta`, `seed`) is shared batch-wide, and batch
-/// members always run serially (the shared stream is one serial stream).
+/// stream (`dataset`, `theta`, `seed`) is shared batch-wide, and a batch
+/// runs on one thread.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchMember {
     /// Estimator to run.
@@ -517,9 +506,9 @@ pub fn run_query_with_progress(
 }
 
 /// Maps a core-API failure onto the service's error vocabulary: cooperative
-/// interruptions become deadline/cancellation errors, and bounds the engine
-/// can't pre-check (e.g. threads > theta interplay) surface as client
-/// errors, never as panics.
+/// interruptions become deadline/cancellation errors, and any parameter the
+/// core rejects that [`QueryRequest::validate`] let through surfaces as a
+/// client error, never as a panic.
 fn api_error_to_query_error(e: ApiError) -> QueryError {
     match e {
         ApiError::Interrupted(i) => match i.reason {
@@ -594,13 +583,8 @@ fn render_query_body(
     }
     w.field_uint("seed", req.seed)
         .field_bool("heuristic", req.heuristic);
-    // Serial responses keep the historical byte layout; parallel runs draw
-    // different worlds, so the thread count is surfaced in the body.
-    if req.threads > 1 {
-        w.field_uint("threads", req.threads as u64);
-    }
-    // Same rule for the stop policy: fixed-θ responses keep the historical
-    // layout, stable stops are echoed.
+    // Fixed-θ responses keep the historical layout; stable stops are
+    // echoed.
     if let StopSpec::Stable { window } = req.stop {
         w.field_str("stop", "stable")
             .field_uint("window", window as u64);
@@ -1331,10 +1315,9 @@ impl QueryEngine {
         for &i in led {
             let r = &requests[i];
             let notion = r.validate().map_err(QueryError::BadRequest)?;
-            // Batch members are serial by construction (threads = 1), so
-            // this never trips the QuerySet Exec::Threads rejection. The
-            // stop policy and budget are set-owned; whatever the member
-            // query carries is normalized away by the QuerySet.
+            // The thread count, stop policy and budget are set-owned;
+            // whatever the member query carries is ignored or normalized
+            // away by the QuerySet.
             set = set.push(build_query(r, notion, &RunControl::unbounded()));
         }
         let batch_run = set.run(&graph.graph).map_err(api_error_to_query_error)?;
@@ -1698,24 +1681,32 @@ mod tests {
 
     #[test]
     fn threads_affect_the_cache_key_and_compute() {
-        // Parallel runs draw different worlds (per-worker sub-streams), so a
-        // threads=2 request must not alias the serial entry — and it must
-        // actually run (previously parallel execution was unreachable here).
+        // The thread count never changes the bytes, so it is not in the
+        // key: threads=2 after threads=1 is a HIT with the same bytes, and
+        // a threaded computation renders the serial bytes too.
         let e = engine();
         let serial = karate_req();
         let mut par = karate_req();
         par.threads = 2;
         let (a, _) = e.execute(&serial).unwrap();
         let (b, src) = e.execute(&par).unwrap();
+        assert_eq!(src, ResponseSource::Hit);
+        assert_eq!(a, b);
+        assert!(!String::from_utf8(b.to_vec()).unwrap().contains("threads"));
+        assert_eq!(e.stats().computed, 1);
+        // Across two chunks both threads solve worlds; the bytes stay the
+        // serial ones.
+        let (mut serial, mut par) = (serial, par);
+        serial.theta = 256;
+        par.theta = 256;
+        let (a, _) = engine().execute(&serial).unwrap();
+        let threaded = engine();
+        let (c, src) = threaded.execute(&par).unwrap();
         assert_eq!(src, ResponseSource::Miss);
-        assert_ne!(a, b, "parallel body must differ (worlds + threads field)");
-        assert!(String::from_utf8(b.to_vec())
-            .unwrap()
-            .contains("\"threads\":2"));
-        assert_eq!(e.stats().computed, 2);
+        assert_eq!(a, c, "threaded computation must render the serial bytes");
         // And the engine's live progress fed by the ProgressSink advanced.
-        assert_eq!(e.stats().worlds_sampled, 128);
-        assert_eq!(e.stats().worlds_requested, 128);
+        assert_eq!(threaded.stats().worlds_sampled, 256);
+        assert_eq!(threaded.stats().worlds_requested, 256);
     }
 
     #[test]
@@ -1726,7 +1717,7 @@ mod tests {
         assert!(matches!(e.execute(&req), Err(QueryError::BadRequest(_))));
         req.threads = 65;
         assert!(matches!(e.execute(&req), Err(QueryError::BadRequest(_))));
-        req.threads = 100; // > theta (64) as well
+        req.threads = 100;
         assert!(matches!(e.execute(&req), Err(QueryError::BadRequest(_))));
         assert_eq!(e.stats().computed, 0);
     }
@@ -2100,13 +2091,18 @@ mod tests {
         let mut req = karate_req();
         req.stop = StopSpec::Stable { window: 0 };
         assert!(matches!(e.execute(&req), Err(QueryError::BadRequest(_))));
-        req.stop = StopSpec::Stable { window: 8 };
-        req.threads = 2;
-        assert!(matches!(e.execute(&req), Err(QueryError::BadRequest(_))));
-        req.threads = 1;
         req.stop = StopSpec::Stable { window: 100 }; // > theta (64)
         assert!(matches!(e.execute(&req), Err(QueryError::BadRequest(_))));
         assert_eq!(e.stats().computed, 0);
+        // A stable stop with threads is accepted and stops at the serial
+        // run's world, so it renders the serial bytes.
+        req.theta = 256;
+        req.stop = StopSpec::Stable { window: 8 };
+        req.threads = 2;
+        let (threaded, _) = e.execute(&req).unwrap();
+        req.threads = 1;
+        let (serial, _) = engine().execute(&req).unwrap();
+        assert_eq!(threaded, serial);
     }
 
     #[test]

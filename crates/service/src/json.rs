@@ -176,13 +176,11 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 /// Renders the unified error document shared by every endpoint:
-/// `{"error":{"code":"...","reason":"..."},"reason":"..."}`.
+/// `{"error":{"code":"...","reason":"..."}}`.
 ///
 /// `code` is a stable machine vocabulary (`bad_request`, `not_found`,
 /// `method_not_allowed`, `forbidden`, `overloaded`, `deadline_exceeded`,
-/// `cancelled`, `internal`); `reason` is the human-readable message. The
-/// top-level `"reason"` duplicates the nested one for clients that still
-/// read the old flat shape — kept for one release, then dropped.
+/// `cancelled`, `internal`); `reason` is the human-readable message.
 pub fn error_body(code: &str, reason: &str) -> String {
     let mut w = JsonWriter::new();
     w.begin_object()
@@ -191,7 +189,6 @@ pub fn error_body(code: &str, reason: &str) -> String {
         .field_str("code", code)
         .field_str("reason", reason)
         .end_object()
-        .field_str("reason", reason)
         .end_object();
     w.finish()
 }
@@ -496,35 +493,19 @@ mod tests {
 
     #[test]
     fn error_body_shape() {
-        // Nested typed error plus the one-release top-level alias. No
-        // duplicate keys: `error` is an object, `reason` appears once at
-        // each level.
+        // One nested typed error; the old top-level `reason` alias is gone.
         assert_eq!(
             error_body("bad_request", "bad"),
-            "{\"error\":{\"code\":\"bad_request\",\"reason\":\"bad\"},\"reason\":\"bad\"}"
+            "{\"error\":{\"code\":\"bad_request\",\"reason\":\"bad\"}}"
         );
-        // The alias must stay parseable by the strict duplicate-rejecting
-        // parser (the loopback tests read error bodies through it).
+        // Parseable by the strict duplicate-rejecting parser (the loopback
+        // tests read error bodies through it).
         let doc = JsonValue::parse(&error_body("internal", "boom")).unwrap();
-        assert_eq!(
-            doc.get("error")
-                .unwrap()
-                .unwrap()
-                .get("code")
-                .unwrap()
-                .unwrap()
-                .as_str("code")
-                .unwrap(),
-            "internal"
-        );
-        assert_eq!(
-            doc.get("reason")
-                .unwrap()
-                .unwrap()
-                .as_str("reason")
-                .unwrap(),
-            "boom"
-        );
+        let error = doc.get("error").unwrap().unwrap();
+        let field = |key: &str| error.get(key).unwrap().unwrap().as_str(key).unwrap();
+        assert_eq!(field("code"), "internal");
+        assert_eq!(field("reason"), "boom");
+        assert!(doc.get("reason").unwrap().is_none());
     }
 
     #[test]

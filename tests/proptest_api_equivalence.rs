@@ -1,27 +1,80 @@
 //! Property-based pins for the `mpds::api` determinism contract, now that
 //! the legacy free functions (`top_k_mpds`, `top_k_nds`, …) are gone:
 //!
-//! * `.run()` at seed `s` is bit-identical to `.run_with_sampler` over an
-//!   externally-constructed sampler seeded with `s` — the contract the
-//!   legacy wrappers used to witness;
-//! * `Exec::Threads(n)` is bit-identical to composing the per-worker
-//!   sub-streams by hand (worker `w` draws from sub-stream `w`, partial
-//!   results merged in worker order);
+//! * `.run()` at seed `s` with θ ≤ [`CHUNK`] is bit-identical to
+//!   `.run_with_sampler` over an externally-constructed sampler seeded with
+//!   `s` — the contract the legacy wrappers used to witness, and the one
+//!   chunk every served benchmark query stays within;
+//! * `Exec::Threads(n)` for n in 1..=8 is bit-identical to `Exec::Serial`,
+//!   and both to `.run_with_sampler` over the [`CHUNK`]-world chunks of
+//!   `SamplerKind::build_stream` concatenated by hand;
 //! * a single-member [`mpds::QuerySet`] is bit-identical to the equivalent
 //!   standalone [`Query`] run, for MPDS and NDS under all three samplers;
-//! * recorded-baseline values (bit-exact `f64`s captured from the legacy
-//!   implementation before its deletion) stay reproducible, so the suite
-//!   guards the historical behaviour without calling the deleted code.
+//! * recorded-baseline values (bit-exact `f64`s of a four-chunk run) stay
+//!   reproducible, so any drift in the world stream shows up.
 
 use densest::DensityNotion;
-use mpds::api::{Exec, Query, RunDetails, SamplerKind};
+use mpds::api::{Exec, Query, RunDetails, SamplerKind, CHUNK};
 use mpds::{MpdsResult, NdsResult, QuerySet, Stop, StopReason};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sampling::MonteCarlo;
-use std::collections::HashMap;
-use ugraph::{Graph, NodeId, NodeSet, UncertainGraph};
+use sampling::{MonteCarlo, WorldSampler};
+use ugraph::{EdgeMask, Graph, NodeId, NodeSet, UncertainGraph};
+
+/// The chunked world stream rebuilt by hand: chunk `j` of `CHUNK` worlds
+/// from `kind.build_stream(g, seed, j)`, concatenated into one sampler.
+struct Chunked<'g> {
+    g: &'g UncertainGraph,
+    kind: SamplerKind,
+    seed: u64,
+    drawn: usize,
+    chunk: Option<Box<dyn WorldSampler>>,
+}
+
+impl<'g> Chunked<'g> {
+    fn new(g: &'g UncertainGraph, kind: SamplerKind, seed: u64) -> Self {
+        Chunked {
+            g,
+            kind,
+            seed,
+            drawn: 0,
+            chunk: None,
+        }
+    }
+}
+
+impl WorldSampler for Chunked<'_> {
+    fn num_edges(&self) -> usize {
+        self.g.num_edges()
+    }
+
+    fn next_mask_into(&mut self, mask: &mut EdgeMask) {
+        if self.drawn % CHUNK == 0 {
+            let j = (self.drawn / CHUNK) as u64;
+            self.chunk = Some(self.kind.build_stream(self.g, self.seed, j));
+        }
+        self.drawn += 1;
+        self.chunk.as_mut().unwrap().next_mask_into(mask);
+    }
+
+    fn aux_memory_bytes(&self) -> usize {
+        0
+    }
+
+    fn name(&self) -> &'static str {
+        "chunked"
+    }
+}
+
+/// θ values on both sides of the first chunk boundaries.
+fn arb_theta() -> impl Strategy<Value = usize> {
+    (0usize..5).prop_map(|i| [1, 127, 128, 129, 300][i])
+}
+
+fn arb_sampler() -> impl Strategy<Value = SamplerKind> {
+    (0usize..3).prop_map(|i| [SamplerKind::MonteCarlo, SamplerKind::Lp, SamplerKind::Rss][i])
+}
 
 /// Strategy: a random uncertain graph on up to 6 nodes with edge
 /// probabilities in (0, 1].
@@ -64,13 +117,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Serial MPDS: `.run()` at seed `s` ≡ `.run_with_sampler` over an
-    /// equally-seeded MC sampler, across both the all-densest default and
-    /// the §VI-D one-mode ablation.
+    /// equally-seeded MC sampler for every θ within the first chunk, across
+    /// both the all-densest default and the §VI-D one-mode ablation.
     #[test]
     fn serial_mpds_run_equals_external_sampler(
         ug in arb_uncertain(),
         seed in 0u64..512,
-        theta in 1usize..40,
+        theta in 1usize..=CHUNK,
         k in 0usize..4, // k = 0 is the legal degenerate "rank nothing" query
         all_mode in proptest::bool::ANY,
     ) {
@@ -89,66 +142,46 @@ proptest! {
         prop_assert_eq!(details.truncated, external.truncated);
     }
 
-    /// Threaded MPDS: `Exec::Threads(n)` ≡ composing the per-worker MC
-    /// sub-streams by hand — worker `w` samples its quota from sub-stream
-    /// `w`, candidate counts summed and densest counts concatenated in
-    /// worker order, ranks re-derivable from the merged table.
+    /// Threaded MPDS: `Exec::Threads(n)` ≡ `Exec::Serial` ≡
+    /// `.run_with_sampler` over the hand-composed chunk stream, in both
+    /// the all-densest and the one-densest mode.
     #[test]
-    fn threads_mpds_equals_composed_worker_streams(
+    fn threads_mpds_equals_serial(
         ug in arb_uncertain(),
         seed in 0u64..512,
-        theta in 3usize..40,
-        workers in 1usize..4,
+        theta in arb_theta(),
+        workers in 1usize..=8,
+        kind in arb_sampler(),
+        all_mode in proptest::bool::ANY,
     ) {
-        prop_assume!(theta >= workers);
-        let per = theta / workers;
-        let extra = theta % workers;
-        let mut expected_candidates: HashMap<NodeSet, u32> = HashMap::new();
-        let mut expected_counts: Vec<usize> = Vec::new();
-        let mut expected_empty = 0usize;
-        for w in 0..workers {
-            // theta >= workers, so every quota is at least 1.
-            let quota = per + usize::from(w < extra);
-            let mut mc = MonteCarlo::with_stream(&ug, seed, w as u64);
-            let r = mpds_details(
-                Query::mpds(DensityNotion::Edge)
-                    .theta(quota)
-                    .k(3)
-                    .run_with_sampler(&ug, &mut mc)
-                    .unwrap()
-                    .details,
-            );
-            for (set, count) in r.candidates {
-                *expected_candidates.entry(set).or_insert(0) += count;
-            }
-            expected_counts.extend(r.densest_counts);
-            expected_empty += r.empty_worlds;
-        }
-        let run = Query::mpds(DensityNotion::Edge)
+        let query = || Query::mpds(DensityNotion::Edge)
             .theta(theta)
             .k(3)
             .seed(seed)
-            .exec(Exec::Threads(workers))
-            .run(&ug)
-            .unwrap();
-        // Every ranked entry's tau must be the merged count over theta.
-        for (set, tau) in &run.top_k {
-            let count = *expected_candidates.get(set).unwrap_or(&0);
-            prop_assert_eq!(*tau, count as f64 / theta as f64);
+            .sampler(kind)
+            .all_densest(all_mode);
+        let serial = query().run(&ug).unwrap();
+        let threaded = query().exec(Exec::Threads(workers)).run(&ug).unwrap();
+        let mut chunked = Chunked::new(&ug, kind, seed);
+        let composed = query().run_with_sampler(&ug, &mut chunked).unwrap();
+        for other in [&serial, &composed] {
+            prop_assert_eq!(&threaded.top_k, &other.top_k);
+            prop_assert_eq!(threaded.stats.worlds_sampled, other.stats.worlds_sampled);
+            prop_assert_eq!(threaded.stats.empty_worlds, other.stats.empty_worlds);
+            let (t, o) = (mpds_details(threaded.details.clone()), mpds_details(other.details.clone()));
+            prop_assert_eq!(t.candidates, o.candidates);
+            prop_assert_eq!(t.densest_counts, o.densest_counts);
+            prop_assert_eq!(t.truncated, o.truncated);
         }
-        let details = mpds_details(run.details);
-        prop_assert_eq!(details.candidates, expected_candidates);
-        prop_assert_eq!(details.densest_counts, expected_counts);
-        prop_assert_eq!(details.empty_worlds, expected_empty);
     }
 
     /// Serial NDS: `.run()` at seed `s` ≡ `.run_with_sampler` over an
-    /// equally-seeded MC sampler.
+    /// equally-seeded MC sampler for every θ within the first chunk.
     #[test]
     fn serial_nds_run_equals_external_sampler(
         ug in arb_uncertain(),
         seed in 0u64..512,
-        theta in 1usize..40,
+        theta in 1usize..=CHUNK,
         min_size in 0usize..4, // 0 imposes no size floor
     ) {
         let query = || Query::nds(DensityNotion::Edge)
@@ -164,54 +197,34 @@ proptest! {
         prop_assert_eq!(details.empty_worlds, external.empty_worlds);
     }
 
-    /// Threaded NDS: worker `w` must behave exactly like a serial run over
-    /// MC sub-stream `w` with its quota, transactions concatenated in worker
-    /// order and mined once.
+    /// Threaded NDS: `Exec::Threads(n)` ≡ `Exec::Serial` ≡
+    /// `.run_with_sampler` over the hand-composed chunk stream.
     #[test]
-    fn threads_nds_equals_composed_worker_streams(
+    fn threads_nds_equals_serial(
         ug in arb_uncertain(),
         seed in 0u64..512,
-        theta in 3usize..40,
-        workers in 1usize..4,
+        theta in arb_theta(),
+        workers in 1usize..=8,
+        kind in arb_sampler(),
     ) {
-        prop_assume!(theta >= workers);
-        let per = theta / workers;
-        let extra = theta % workers;
-        let mut expected_transactions: Vec<NodeSet> = Vec::new();
-        let mut expected_empty = 0usize;
-        for w in 0..workers {
-            // theta >= workers, so every quota is at least 1.
-            let quota = per + usize::from(w < extra);
-            let mut mc = MonteCarlo::with_stream(&ug, seed, w as u64);
-            let r = nds_details(
-                Query::nds(DensityNotion::Edge)
-                    .theta(quota)
-                    .k(4)
-                    .min_size(2)
-                    .run_with_sampler(&ug, &mut mc)
-                    .unwrap()
-                    .details,
-            );
-            expected_transactions.extend(r.transactions);
-            expected_empty += r.empty_worlds;
-        }
-        let (mined, _) = itemset::top_k_closed(&expected_transactions, 4, 2, 5_000_000);
-        let expected_top_k: Vec<(NodeSet, f64)> = mined
-            .into_iter()
-            .map(|c| (c.items, c.support as f64 / theta as f64))
-            .collect();
-        let run = Query::nds(DensityNotion::Edge)
+        let query = || Query::nds(DensityNotion::Edge)
             .theta(theta)
             .k(4)
             .min_size(2)
             .seed(seed)
-            .exec(Exec::Threads(workers))
-            .run(&ug)
-            .unwrap();
-        prop_assert_eq!(&run.top_k, &expected_top_k);
-        let details = nds_details(run.details);
-        prop_assert_eq!(details.transactions, expected_transactions);
-        prop_assert_eq!(details.empty_worlds, expected_empty);
+            .sampler(kind);
+        let serial = query().run(&ug).unwrap();
+        let threaded = query().exec(Exec::Threads(workers)).run(&ug).unwrap();
+        let mut chunked = Chunked::new(&ug, kind, seed);
+        let composed = query().run_with_sampler(&ug, &mut chunked).unwrap();
+        for other in [&serial, &composed] {
+            prop_assert_eq!(&threaded.top_k, &other.top_k);
+            prop_assert_eq!(threaded.stats.worlds_sampled, other.stats.worlds_sampled);
+            let (t, o) = (nds_details(threaded.details.clone()), nds_details(other.details.clone()));
+            prop_assert_eq!(t.transactions, o.transactions);
+            prop_assert_eq!(t.empty_worlds, o.empty_worlds);
+            prop_assert_eq!(t.miner_capped, o.miner_capped);
+        }
     }
 
     /// The anytime contract, MPDS side: a `Stop::Stable` run that stops
@@ -371,10 +384,10 @@ proptest! {
 }
 
 /// Recorded baseline: bit-exact outputs of the Fig. 1 graph at a pinned
-/// `(seed, theta)`, captured from the implementation while the legacy entry
-/// points still existed (they were bit-identical to the builder, witnessed
-/// by the pre-deletion version of this suite). Any drift in sampling order,
-/// candidate aggregation, or tie-breaking shows up here as a bit mismatch.
+/// `(seed, theta)`. θ = 400 spans four chunks of the world stream, so these
+/// values pin the chunk seeding (chunk 0 from the root seed, chunk `j ≥ 1`
+/// from `stream_seed(seed, j)`) on top of sampling order, candidate
+/// aggregation, and tie-breaking: any drift shows up as a bit mismatch.
 #[test]
 fn recorded_baseline_mpds_fig1() {
     let g = UncertainGraph::from_weighted_edges(4, &[(0, 1, 0.4), (0, 2, 0.4), (1, 3, 0.7)]);
@@ -385,10 +398,10 @@ fn recorded_baseline_mpds_fig1() {
         .run(&g)
         .unwrap();
     let recorded: Vec<(NodeSet, u64)> = vec![
-        (vec![1, 3], 0x3fdc000000000000),
-        (vec![0, 1, 2, 3], 0x3fd0f5c28f5c28f6),
-        (vec![0, 2], 0x3fceb851eb851eb8),
-        (vec![0, 1, 3], 0x3fc47ae147ae147b),
+        (vec![1, 3], 0x3fda147ae147ae14),
+        (vec![0, 1, 2, 3], 0x3fd28f5c28f5c28f),
+        (vec![0, 2], 0x3fcd1eb851eb851f),
+        (vec![0, 1, 3], 0x3fc6b851eb851eb8),
     ];
     let got: Vec<(NodeSet, u64)> = run
         .top_k
@@ -396,7 +409,7 @@ fn recorded_baseline_mpds_fig1() {
         .map(|(set, tau)| (set.clone(), tau.to_bits()))
         .collect();
     assert_eq!(got, recorded);
-    assert_eq!(run.stats.empty_worlds, 54);
+    assert_eq!(run.stats.empty_worlds, 52);
 }
 
 /// Recorded baseline for the NDS path (same graph, seed, and θ — the world
@@ -412,10 +425,10 @@ fn recorded_baseline_nds_fig1() {
         .run(&g)
         .unwrap();
     let recorded: Vec<(NodeSet, u64)> = vec![
-        (vec![1, 3], 0x3fe651eb851eb852),
-        (vec![0, 1], 0x3fe08f5c28f5c28f),
-        (vec![0, 1, 3], 0x3fdb333333333333),
-        (vec![0, 2], 0x3fd7ae147ae147ae),
+        (vec![1, 3], 0x3fe67ae147ae147b),
+        (vec![0, 1], 0x3fe28f5c28f5c28f),
+        (vec![0, 1, 3], 0x3fddeb851eb851ec),
+        (vec![0, 2], 0x3fd999999999999a),
     ];
     let got: Vec<(NodeSet, u64)> = run
         .top_k
@@ -423,5 +436,5 @@ fn recorded_baseline_nds_fig1() {
         .map(|(set, gamma)| (set.clone(), gamma.to_bits()))
         .collect();
     assert_eq!(got, recorded);
-    assert_eq!(run.stats.empty_worlds, 54);
+    assert_eq!(run.stats.empty_worlds, 52);
 }
